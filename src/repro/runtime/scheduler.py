@@ -53,7 +53,9 @@ class Scheduler(ABC):
 
     ``runnable`` is non-empty and sorted by thread id (the VM guarantees
     both); ``current`` is the thread that just trapped, or ``None`` if it
-    blocked or finished.  Implementations must be side-effect free apart
+    blocked or finished.  ``runnable`` is the VM's live runnable list,
+    not a copy: read it during the call, never mutate it or keep a
+    reference to it.  Implementations must be side-effect free apart
     from their own internal state.
     """
 

@@ -77,8 +77,11 @@ class SimThread:
 
         # --- carrier plumbing (owned by the VM) -----------------------
         self.carrier: threading.Thread | None = None
-        #: Set by the VM to release this thread's carrier for one step.
-        self.resume = threading.Event()
+        #: One-slot baton, created held.  The VM releases it to hand this
+        #: thread's carrier the turn; the carrier waits for its turn by
+        #: acquiring it, which leaves it held for the next hand-off.
+        self.resume = threading.Lock()
+        self.resume.acquire()
 
     # ------------------------------------------------------------------
 

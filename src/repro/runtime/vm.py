@@ -17,6 +17,12 @@ Execution model
   arrangement as Valgrind's single-threaded core (paper §3.3: "the
   virtual machine in itself is single-threaded. Hence, adding more
   processors also will not help.").
+* The token is a per-thread baton (:attr:`SimThread.resume`, a
+  ``threading.Lock`` created held): a hand-off releases the next
+  carrier's baton and then blocks acquiring its own.  Carriers run
+  under ``SCHED_BATCH`` where the host allows it, so the woken carrier
+  does not preempt the releasing one only to find the GIL still held:
+  a hand-off costs one host context switch.
 * Every trap is a potential preemption point, so the scheduler can
   interleave guest threads at single-access granularity — finer than the
   real OS, which is what lets seed sweeps expose the §4.3 schedule-
@@ -37,8 +43,15 @@ that appends to a list — see :mod:`repro.runtime.trace`.
 
 from __future__ import annotations
 
+import os
 import threading
+from bisect import bisect_left
 from typing import Callable
+
+try:
+    import resource
+except ImportError:  # pragma: no cover - non-Unix hosts
+    resource = None
 
 from repro._util.ids import IdAllocator
 from repro.errors import DeadlockError, GuestFault, StepLimitExceeded, VMError
@@ -97,7 +110,11 @@ class VMStats:
     ``events`` counts emitted events by type name; ``switches`` counts
     *actual* carrier hand-offs (the expensive part — the VM skips the
     hand-off when no other thread is runnable); ``traps`` counts
-    scheduling opportunities.
+    scheduling opportunities.  ``host_voluntary_switches`` and
+    ``host_involuntary_switches`` are the process's host context
+    switches over :meth:`VM.run` (``getrusage`` deltas, 0 where the
+    ``resource`` module is missing); per ``switches`` they show what
+    one carrier hand-off costs the host.
 
     Counting happens on the per-event fast path, so the tally is keyed
     by event *class* internally (one dict operation, no ``__name__``
@@ -105,7 +122,15 @@ class VMStats:
     name-keyed view on demand.
     """
 
-    __slots__ = ("_by_type", "traps", "switches", "threads_created", "max_live_threads")
+    __slots__ = (
+        "_by_type",
+        "traps",
+        "switches",
+        "threads_created",
+        "max_live_threads",
+        "host_voluntary_switches",
+        "host_involuntary_switches",
+    )
 
     def __init__(self) -> None:
         self._by_type: dict[type, int] = {}
@@ -113,6 +138,8 @@ class VMStats:
         self.switches = 0
         self.threads_created = 0
         self.max_live_threads = 0
+        self.host_voluntary_switches = 0
+        self.host_involuntary_switches = 0
 
     def count(self, event: Event) -> None:
         cls = event.__class__
@@ -188,14 +215,21 @@ class VM:
         self._barrier_ids = IdAllocator()
         self._queue_ids = IdAllocator()
 
-        self._control = threading.Event()
-        #: Index of currently-runnable threads (tid -> thread).  The
-        #: scheduler loop and the _switch fast path consult this instead
-        #: of scanning every thread ever created — on a server workload
-        #: most threads are finished workers, so the index keeps each
-        #: trap O(live runnable) instead of O(all threads).
-        self._runnable: dict[int, SimThread] = {}
-        self._current: SimThread | None = None
+        #: The quiescence loop's baton, created held: a carrier releases
+        #: it when the guest world goes quiet or fails, and the loop
+        #: waits by acquiring it.
+        self._control = threading.Lock()
+        self._control.acquire()
+        #: Currently-runnable threads, kept sorted by tid, with their
+        #: tids in a parallel list for ``bisect``.  The scheduler loop
+        #: and the _switch fast path consult this instead of scanning
+        #: every thread ever created — on a server workload most threads
+        #: are finished workers — and it is handed to the scheduler
+        #: as is, with no per-trap sort.
+        self._runnable: list[SimThread] = []
+        self._runnable_tids: list[int] = []
+        #: Guest threads created and not yet finished or faulted.
+        self._live = 0
         self._aborting = False
         self._started = False
         self._finished = False
@@ -233,11 +267,16 @@ class VM:
         self._started = True
         main_thread = self._make_thread(main, args, name=main_name, parent=None)
         self._set_runnable(main_thread)
+        usage = resource.getrusage(resource.RUSAGE_SELF) if resource else None
         self._start_carrier(main_thread)
         try:
             self._scheduler_loop()
         finally:
             self._reap_carriers()
+            if usage is not None:
+                after = resource.getrusage(resource.RUSAGE_SELF)
+                self.stats.host_voluntary_switches = after.ru_nvcsw - usage.ru_nvcsw
+                self.stats.host_involuntary_switches = after.ru_nivcsw - usage.ru_nivcsw
         self._finished = True
         if main_thread.error is not None:  # pragma: no cover - re-raise path
             raise main_thread.error
@@ -305,11 +344,13 @@ class VM:
     def _scheduler_loop(self) -> None:
         """Quiescence handler.
 
-        Carriers hand control *directly* to each other (one Event
-        operation per switch); this host-side loop only runs when the
+        Carriers hand control *directly* to each other (one baton
+        release per switch); this host-side loop only runs when the
         guest world goes quiet — at start, when the last runnable thread
         blocked or finished, and when a carrier reports an error — so it
-        can dispatch, detect deadlock, or propagate the failure.
+        can dispatch, detect deadlock, or propagate the failure.  It
+        waits on the ``_control`` baton, which the carrier that went
+        quiet releases.
         """
         while True:
             if self._pending_error is not None:
@@ -323,24 +364,21 @@ class VM:
                     self._abort_carriers()
                     raise DeadlockError([(t.tid, t.blocked_on) for t in blocked])
                 return  # all threads finished
-            chosen = self._choose(None)
-            self.stats.switches += 1
-            self._current = chosen
-            self._control.clear()
-            chosen.resume.set()
-            self._control.wait()
-
-    def _choose(self, current: SimThread | None) -> SimThread:
-        """Consult the scheduling policy over the runnable set."""
-        runnable = sorted(self._runnable.values(), key=lambda t: t.tid)
-        return self.scheduler.pick(runnable, current)
+            self._hand_off(None)
+            self._control.acquire()
 
     def _abort_carriers(self) -> None:
-        """Wake every live carrier so it unwinds via :class:`_GuestAbort`."""
+        """Wake every live carrier so it unwinds via :class:`_GuestAbort`.
+
+        Runs only while every carrier is parked or not yet started, so
+        a held baton marks a carrier waiting for its turn; a baton that
+        is already released has a turn pending, and its carrier sees
+        ``_aborting`` on its own.  Releasing it again would raise.
+        """
         self._aborting = True
         for thread in self.threads.values():
-            if thread.alive:
-                thread.resume.set()
+            if thread.alive and thread.resume.locked():
+                thread.resume.release()
         self._reap_carriers()
 
     def _reap_carriers(self) -> None:
@@ -366,8 +404,8 @@ class VM:
         )
         self.threads[tid] = thread
         self.stats.threads_created += 1
-        live = sum(1 for t in self.threads.values() if t.alive)
-        self.stats.max_live_threads = max(self.stats.max_live_threads, live)
+        self._live += 1
+        self.stats.max_live_threads = max(self.stats.max_live_threads, self._live)
         return thread
 
     def _start_carrier(self, thread: SimThread) -> None:
@@ -381,31 +419,33 @@ class VM:
         carrier.start()
 
     def _carrier_main(self, thread: SimThread) -> None:
+        # Only one carrier is meant to run at a time, so a woken carrier
+        # that preempts the one releasing its baton just finds the GIL
+        # still held and sleeps again.  SCHED_BATCH turns that wake-up
+        # preemption off for this carrier thread (a per-thread policy
+        # that needs no privilege); the caller's thread keeps its own.
+        try:
+            os.sched_setscheduler(0, os.SCHED_BATCH, os.sched_param(0))
+        except (AttributeError, OSError):
+            pass  # not on this platform, or refused (e.g. by seccomp)
         api = GuestAPI(self, thread)
         try:
             self._wait_turn(thread)  # block until first scheduled
             thread.result = thread.target(api, *thread.args)
             self._set_not_runnable(thread, ThreadState.FINISHED)
             api._emit(ThreadFinish(self.clock, thread.tid, stack=thread.snapshot_stack()))
+            self._wake_joiners(thread)
+            self._hand_off(None)
         except _GuestAbort:
             return  # VM is tearing down; exit silently, do not touch control
         except BaseException as exc:  # noqa: BLE001 - any guest failure halts the VM
             self._set_not_runnable(thread, ThreadState.FAULTED)
             thread.error = exc
+            if self._aborting:
+                return  # guest cleanup failed mid-teardown; nobody waits on control
             self._pending_error = exc
             self._wake_joiners(thread)
-            self._control.set()  # the loop aborts every carrier and re-raises
-            return
-        self._wake_joiners(thread)
-        # Hand control onward: directly to a runnable carrier, or to the
-        # quiescence loop if the guest world just went quiet.
-        if self._runnable:
-            chosen = self._choose(None)
-            self.stats.switches += 1
-            self._current = chosen
-            chosen.resume.set()
-        else:
-            self._control.set()
+            self._control.release()  # the loop aborts every carrier and re-raises
 
     def _wake_joiners(self, thread: SimThread) -> None:
         for waiter in thread.join_waiters:
@@ -414,18 +454,42 @@ class VM:
 
     def _wait_turn(self, thread: SimThread) -> None:
         """Block this carrier until the scheduler picks ``thread``."""
-        thread.resume.wait()
-        thread.resume.clear()
+        thread.resume.acquire()
         if self._aborting:
             raise _GuestAbort()
 
+    def _hand_off(self, current: SimThread | None) -> None:
+        """Pass the turn on: to the carrier the policy picks among the
+        runnable threads, or to the quiescence loop if there are none.
+
+        ``current`` has just stopped being runnable (or is ``None``).
+        """
+        if self._aborting:
+            # Guest cleanup code trapping while the VM tears down: its
+            # turn is over and a release could hit an unlocked baton.
+            raise _GuestAbort()
+        runnable = self._runnable
+        if runnable:
+            self.stats.switches += 1
+            self.scheduler.pick(runnable, current).resume.release()
+        else:
+            self._control.release()
+
     def _set_runnable(self, thread: SimThread) -> None:
         thread.state = ThreadState.RUNNABLE
-        self._runnable[thread.tid] = thread
+        i = bisect_left(self._runnable_tids, thread.tid)
+        self._runnable_tids.insert(i, thread.tid)
+        self._runnable.insert(i, thread)
 
     def _set_not_runnable(self, thread: SimThread, state: ThreadState) -> None:
+        if state is not ThreadState.BLOCKED and thread.alive:
+            self._live -= 1
         thread.state = state
-        self._runnable.pop(thread.tid, None)
+        tids = self._runnable_tids
+        i = bisect_left(tids, thread.tid)
+        if i < len(tids) and tids[i] == thread.tid:
+            del tids[i]
+            del self._runnable[i]
 
     def _switch(self, thread: SimThread) -> None:
         """Scheduling decision point for a still-runnable thread."""
@@ -435,14 +499,15 @@ class VM:
         # threads only become runnable through actions of *running*
         # threads, so skipping cannot starve anyone.
         runnable = self._runnable
-        if len(runnable) == 1 and thread.tid in runnable:
+        if len(runnable) == 1 and runnable[0] is thread:
             return
-        chosen = self._choose(thread)
+        if self._aborting:
+            raise _GuestAbort()  # see _hand_off
+        chosen = self.scheduler.pick(runnable, thread)
         if chosen is thread:
             return  # the policy kept us running: no host switch at all
         self.stats.switches += 1
-        self._current = chosen
-        chosen.resume.set()
+        chosen.resume.release()
         self._wait_turn(thread)
 
     def _park_and_dispatch(self, thread: SimThread) -> None:
@@ -451,13 +516,7 @@ class VM:
         Directly to another runnable carrier if one exists, otherwise to
         the quiescence loop (which will detect deadlock or completion).
         """
-        if self._runnable:
-            chosen = self._choose(thread)
-            self.stats.switches += 1
-            self._current = chosen
-            chosen.resume.set()
-        else:
-            self._control.set()
+        self._hand_off(thread)
         self._wait_turn(thread)
 
     def _block(self, thread: SimThread, reason: str, waitable: _Waitable) -> None:

@@ -16,25 +16,30 @@ error path.
 
 from __future__ import annotations
 
+import re
+
 from repro.errors import SipParseError
 from repro.sip.message import Header, SipMessage
 
 __all__ = ["parse_message", "serialize_message"]
 
 _VERSION = "SIP/2.0"
+_BLANK_LINE = re.compile(r"\r?\n\r?\n")
 
 
 def parse_message(wire: str) -> SipMessage:
     """Parse one SIP message from its wire text."""
     if not wire or not wire.strip():
         raise SipParseError("empty message")
-    # Normalise line endings; SIPp uses CRLF.
-    text = wire.replace("\r\n", "\n")
-    if "\n\n" in text:
-        head, body = text.split("\n\n", 1)
+    # The first blank line ends the head.  Only the head's line endings
+    # are normalised (SIPp uses CRLF): the body is opaque, and
+    # Content-Length counts its characters as sent.
+    blank = _BLANK_LINE.search(wire)
+    if blank is not None:
+        head, body = wire[: blank.start()], wire[blank.end() :]
     else:
-        head, body = text, ""
-    lines = head.split("\n")
+        head, body = wire, ""
+    lines = head.replace("\r\n", "\n").split("\n")
     start = lines[0].strip()
     headers = _parse_headers(lines[1:])
     message = _parse_start_line(start)

@@ -133,13 +133,22 @@ def to_console(snapshot: dict) -> str:
 
     traps = _value(snapshot, "repro_vm_traps_total")
     if traps:
+        switches = _value(snapshot, "repro_vm_switches_total")
         out.append("vm")
         out.append(
-            f"  traps {int(traps)}, switches "
-            f"{int(_value(snapshot, 'repro_vm_switches_total'))}, threads "
+            f"  traps {int(traps)}, switches {int(switches)}, threads "
             f"{int(_value(snapshot, 'repro_vm_threads_created_total'))} "
             f"(peak live {int(_value(snapshot, 'repro_vm_max_live_threads'))})"
         )
+        host = "repro_vm_host_context_switches_total"
+        voluntary = _value(snapshot, host, kind="voluntary")
+        involuntary = _value(snapshot, host, kind="involuntary")
+        if voluntary or involuntary:
+            per = f" ({(voluntary + involuntary) / switches:.2f} per hand-off)" if switches else ""
+            out.append(
+                f"  host context switches {int(voluntary)} voluntary, "
+                f"{int(involuntary)} involuntary{per}"
+            )
 
     out.append("caches")
     builds = _value(snapshot, "repro_vm_route_builds_total")

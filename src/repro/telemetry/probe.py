@@ -270,6 +270,15 @@ class Telemetry:
         reg.counter(
             "repro_vm_switches_total", help="Actual carrier hand-offs."
         ).inc(stats.switches)
+        for kind, count in (
+            ("voluntary", stats.host_voluntary_switches),
+            ("involuntary", stats.host_involuntary_switches),
+        ):
+            reg.counter(
+                "repro_vm_host_context_switches_total",
+                {"kind": kind},
+                help="Host context switches over VM runs (getrusage), by kind.",
+            ).inc(count)
         reg.counter(
             "repro_vm_threads_created_total", help="Guest threads created."
         ).inc(stats.threads_created)

@@ -18,6 +18,7 @@ and review the diff like any golden-file update.
 from __future__ import annotations
 
 import json
+import os
 from pathlib import Path
 
 import pytest
@@ -75,6 +76,28 @@ def test_report_matches_pre_fastpath_baseline(case_id, config_key, tmp_path):
     assert loaded.dynamic_count == report.dynamic_count
     assert [w.stack for w in loaded] == [w.stack for w in report]
     assert [w.location_key for w in loaded] == [w.location_key for w in report]
+
+
+@pytest.mark.parametrize("host", ["refused", "missing"])
+def test_carrier_policy_fallback_keeps_the_report(host, monkeypatch, tmp_path):
+    """Carriers ask for SCHED_BATCH; where the host refuses the call or
+    lacks it, the run goes on unchanged and the report is byte-identical."""
+    calls = []
+    if host == "refused":
+
+        def refuse(*args):
+            calls.append(args)
+            raise OSError("operation not permitted")
+
+        monkeypatch.setattr(os, "sched_setscheduler", refuse, raising=False)
+    else:
+        monkeypatch.delattr(os, "sched_setscheduler", raising=False)
+    report = _generate("T1", "hwlc_dr")
+    regenerated = tmp_path / "T1_hwlc_dr.json"
+    report.save(regenerated)
+    assert regenerated.read_bytes() == _baseline_path("T1", "hwlc_dr").read_bytes()
+    if host == "refused":
+        assert calls  # every carrier asked, and carried on
 
 
 def test_baseline_files_are_valid_json():

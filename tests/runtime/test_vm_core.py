@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import sys
+import threading
+
 import pytest
 
 from repro.errors import DeadlockError, GuestFault, StepLimitExceeded, VMError
-from repro.runtime import VM, RandomScheduler
+from repro.runtime import VM, RandomScheduler, StickyScheduler
 from repro.runtime.events import MemAlloc, MemoryAccess, ThreadCreate, ThreadFinish, ThreadJoin
 from tests.conftest import record_trace, run_program
 
@@ -273,6 +276,38 @@ class TestThreads:
         assert vm.stats.max_live_threads >= 2
 
 
+    def test_seeded_run_repeats_under_host_preemption(self):
+        """Exactly one carrier runs at a time: with the host switching
+        threads every microsecond, a seeded racy run still repeats
+        exactly, lost updates included."""
+
+        def prog(api):
+            addr = api.malloc(1)
+            api.store(addr, 0)
+
+            def worker(a):
+                for _ in range(50):
+                    a.store(addr, a.load(addr) + 1)  # racy on purpose
+
+            ts = [api.spawn(worker) for _ in range(8)]
+            for t in ts:
+                api.join(t)
+            return api.load(addr)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            runs = []
+            for _ in range(2):
+                scheduler = RandomScheduler(seed=7)
+                result, vm = run_program(prog, scheduler=scheduler)
+                runs.append((result, scheduler.record(), vm.stats.switches))
+        finally:
+            sys.setswitchinterval(interval)
+        assert runs[0] == runs[1]
+        assert runs[0][0] < 400  # the seeded schedule lost updates
+
+
 class TestLimitsAndDeadlock:
     def test_step_limit(self):
         def spin(api):
@@ -323,6 +358,91 @@ class TestLimitsAndDeadlock:
 
         with pytest.raises(DeadlockError):
             run_program(prog)
+
+
+class TestBatonTeardown:
+    """A failed run releases every parked carrier exactly once: the
+    typed error reaches the caller, no carrier dies of releasing an
+    unlocked baton, and none is left running."""
+
+    @pytest.fixture
+    def carrier_errors(self, monkeypatch):
+        errors = []
+        monkeypatch.setattr(threading, "excepthook", errors.append)
+        yield errors
+        for thread in threading.enumerate():
+            assert not thread.name.startswith("carrier-"), thread.name
+
+    @staticmethod
+    def _run(vm, prog, error):
+        with pytest.raises(error):
+            vm.run(prog)
+        for thread in vm.threads.values():
+            assert not isinstance(thread.error, RuntimeError), thread.error
+            assert thread.carrier is None or not thread.carrier.is_alive()
+
+    def test_two_mutex_deadlock_with_guest_cleanup(self, carrier_errors):
+        def prog(api):
+            m1, m2 = api.mutex("A"), api.mutex("B")
+
+            def worker(a, first, second):
+                a.lock(first)
+                try:
+                    a.yield_()
+                    a.lock(second)
+                finally:
+                    # Runs during teardown, and wakes the other worker.
+                    a.unlock(first)
+
+            t1 = api.spawn(worker, m1, m2)
+            t2 = api.spawn(worker, m2, m1)
+            api.join(t1)
+            api.join(t2)
+
+        self._run(VM(), prog, DeadlockError)
+        assert carrier_errors == []
+
+    def test_child_fault_with_a_never_scheduled_sibling(self, carrier_errors):
+        def idle(a):
+            a.yield_()
+
+        def bad(a):
+            a.spawn(idle, name="sibling")
+            a.load(0xBAD)
+
+        def prog(api):
+            api.join(api.spawn(bad))
+
+        # switch_prob=0: a thread runs until it blocks or exits, so the
+        # sibling is still waiting for its first turn when ``bad`` faults.
+        vm = VM(scheduler=StickyScheduler(seed=1, switch_prob=0.0))
+        self._run(vm, prog, GuestFault)
+        sibling = next(t for t in vm.threads.values() if t.name == "sibling")
+        assert sibling.steps == 0
+        assert carrier_errors == []
+
+    def test_step_limit_with_several_runnable_threads(self, carrier_errors):
+        def prog(api):
+            addr = api.malloc(1)
+            api.store(addr, 0)
+
+            def spin(a):
+                try:
+                    while True:
+                        a.load(addr)
+                finally:
+                    # Past the step limit: this cleanup faults mid-teardown.
+                    a.store(addr, 1)
+
+            ts = [api.spawn(spin) for _ in range(3)]
+            for t in ts:
+                api.join(t)
+
+        vm = VM(step_limit=500)
+        self._run(vm, prog, StepLimitExceeded)
+        spinners = [t for t in vm.threads.values() if t.parent_tid is not None]
+        assert len(spinners) == 3 and all(t.steps > 0 for t in spinners)
+        assert carrier_errors == []
 
 
 class TestStats:

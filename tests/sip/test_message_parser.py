@@ -115,6 +115,21 @@ class TestRoundTrip:
         assert parsed.method == "REGISTER"
         assert parsed.cseq == (2, "REGISTER")
 
+    @pytest.mark.parametrize("body", ["\r\n", "v=0\r\nm=audio\r\n", "a\n\nb"])
+    def test_body_line_endings_survive(self, body):
+        # The body is opaque: Content-Length counts it as sent, so only
+        # the head's CRLFs may be normalised.
+        msg = SipMessage.request(
+            "INVITE",
+            "sip:bob@example.com",
+            call_id="c1",
+            cseq=1,
+            from_uri="sip:alice@example.com",
+            to_uri="sip:bob@example.com",
+            body=body,
+        )
+        assert parse_message(serialize_message(msg)).body == body
+
     def test_response_to_echoes_dialog_headers(self):
         req = parse_message(INVITE_WIRE)
         resp = SipMessage.response_to(req, 180)

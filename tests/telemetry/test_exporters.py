@@ -72,7 +72,14 @@ class TestConsole:
         reg.counter("repro_block_cache_hits_total", {"slot": "last"}).inc(50)
         reg.counter("repro_block_cache_hits_total", {"slot": "prev"}).inc(10)
         reg.counter("repro_block_cache_misses_total").inc(40)
+        reg.counter("repro_vm_traps_total").inc(300)
+        reg.counter("repro_vm_switches_total").inc(200)
+        host = "repro_vm_host_context_switches_total"
+        reg.counter(host, {"kind": "voluntary"}).inc(198)
+        reg.counter(host, {"kind": "involuntary"}).inc(4)
         text = to_console(reg.snapshot())
+        assert "traps 300, switches 200" in text
+        assert "198 voluntary, 4 involuntary (1.01 per hand-off)" in text
         assert "events (140 total)" in text
         assert "MemRead" in text
         assert "99.6%" in text  # route-cache hit rate

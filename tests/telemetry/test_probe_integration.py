@@ -56,6 +56,16 @@ class TestWorkloadRun:
         )
         assert total == vm.stats.total_events
 
+    def test_host_context_switches_match_vm_stats(self, run):
+        telemetry, vm, _ = run
+        reg = telemetry.registry
+        family = "repro_vm_host_context_switches_total"
+        stats = vm.stats
+        assert reg.value(family, {"kind": "voluntary"}) == stats.host_voluntary_switches
+        assert reg.value(family, {"kind": "involuntary"}) == stats.host_involuntary_switches
+        # Carrier hand-offs park host threads.
+        assert stats.switches > 0 and stats.host_voluntary_switches > 0
+
     def test_expected_event_kinds_present(self, run):
         # The workload takes locks, reads/writes memory, spawns/joins
         # threads — all of those kinds must show up in the tally.
