@@ -40,7 +40,6 @@ from conftest import report
 
 from repro.api.profiles import profile
 from repro.detectors import HelgrindDetector
-from repro.detectors.parallel import PAGE_BITS
 from repro.experiments.performance import workload_guest
 from repro.runtime import VM, RoundRobinScheduler
 from repro.runtime.codec import TraceWriter
@@ -58,10 +57,10 @@ from repro.runtime.trace import replay_trace
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 CONFIG = "hwlc+dr"
-PAGE = 1 << PAGE_BITS
+#: One shadow page of the lock-set machine (2**10 words).
+PAGE = 1 << 10
 
-#: Same scale as BENCH_parallel's trace: 256 runs x ~1k accesses ≈ 263k
-#: events.  Every 16th access is emitted twice back-to-back so the
+#: 256 runs x ~1k accesses ≈ 263k events.  Every 16th access is emitted twice back-to-back so the
 #: run-length elision has real repeats to absorb (a server re-reading
 #: the field it just wrote), and the shared-counter traffic pushes a
 #: handful of words through SHARED/SHARED-MOD where the memo lives.

@@ -26,16 +26,15 @@ Everything here is re-exported from the package root::
     report = repro.Pipeline("hwlc+dr").replay("trace.rptr")
 
 Deprecation policy (see ``docs/API.md``): superseded entry points keep
-working for one PR cycle behind a shim that emits a single
-:class:`DeprecationWarning`, then are removed.  :func:`detector_config`
-and :func:`detector_configs` are the currently shimmed names — use
+working for one release cycle behind a shim that emits a single
+:class:`DeprecationWarning`, then are removed.  No name is shimmed
+today; configuration names resolve through
 ``repro.api.profiles.profile(name)`` / ``profile_names()``.
 """
 
 from __future__ import annotations
 
 import pickle
-import warnings
 from pathlib import Path
 
 from repro.api import profiles
@@ -43,56 +42,17 @@ from repro.api.profiles import AnalysisProfile
 from repro.detectors import HelgrindConfig, HelgrindDetector
 from repro.detectors.report import Report
 from repro.runtime import codec
-from repro.runtime.events import EVENT_TYPES, Event
-from repro.runtime.trace import ReplayVM, replay_trace
+from repro.runtime.trace import ReplayVM, build_handler_table, replay_trace
 
 __all__ = [
     "AnalysisProfile",
     "Pipeline",
     "Session",
-    "detector_config",
-    "detector_configs",
     "profiles",
 ]
 
 #: Pickle payload version for :meth:`Session.snapshot`.
 SNAPSHOT_VERSION = 1
-
-#: One-shot latch for the ``detector_config``/``detector_configs``
-#: deprecation shims (one warning per process, not one per call).
-_DETECTOR_CONFIG_WARNED = False
-
-
-def _warn_detector_config() -> None:
-    global _DETECTOR_CONFIG_WARNED
-    if not _DETECTOR_CONFIG_WARNED:
-        _DETECTOR_CONFIG_WARNED = True
-        warnings.warn(
-            "repro.api.detector_config/detector_configs are deprecated; "
-            "use repro.api.profiles.profile(name).config() and "
-            "repro.api.profiles.profile_names()",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-
-
-def detector_configs() -> tuple[str, ...]:
-    """Deprecated: use :func:`repro.api.profiles.profile_names`."""
-    _warn_detector_config()
-    return profiles.profile_names()
-
-
-def detector_config(name: str) -> HelgrindConfig:
-    """Deprecated: use ``repro.api.profiles.profile(name).config()``.
-
-    The names are the paper's evaluation vocabulary (``original``,
-    ``hwlc``, ``hwlc+dr``) plus the extensions and the ``predictive``
-    tier; unknown names raise a :class:`ValueError` that lists every
-    known one.
-    """
-    _warn_detector_config()
-    return profiles.profile(name).config()
-
 
 def _case_by_id(case_id: str):
     """Resolve a case id across the evaluation and predictive suites."""
@@ -238,16 +198,7 @@ class Session:
 
     def _bind(self) -> None:
         """(Re)build the decoder's per-type handler table."""
-        table = []
-        for cls in EVENT_TYPES:
-            fns = []
-            for hook in self._hooks:
-                resolver = getattr(hook, "handler_for", None)
-                fn = resolver(cls) if resolver is not None else hook.handle
-                if fn is not None:
-                    fns.append(fn)
-            table.append(tuple(fns))
-        self._decoder.bind(table, self.vm)
+        self._decoder.bind(build_handler_table(self._hooks), self.vm)
 
     # -- ingestion -----------------------------------------------------
 
@@ -276,8 +227,11 @@ class Session:
         Legacy tiers are complete after the last event and this is a
         no-op; the predictive tier emits its predicted findings here.
         Call it once the input stream is known to be finished — the
-        service does at FINISH time.
+        service does at FINISH time.  A byte stream that stopped inside
+        a record raises :class:`~repro.errors.TraceFormatError` instead:
+        its report would silently miss the rest of the trace.
         """
+        self._decoder.close()
         self.detector.finalize()
 
     @property

@@ -49,7 +49,15 @@ def main(argv: list[str] | None = None) -> int:
         from repro.detectors.lockset import set_transition_cache_default
 
         set_transition_cache_default(False)
-    return args.handler(args)
+    from repro.errors import ReproError
+
+    try:
+        return args.handler(args)
+    except ReproError as exc:
+        # A library failure (a damaged trace, a guest fault, ...) is a
+        # one-line diagnosis for the operator, not a traceback.
+        print(f"repro: error: {exc}", file=sys.stderr)
+        return 2
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -197,18 +205,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     tp.add_argument("--full", action="store_true", help="print every warning block")
     tp.add_argument(
-        "--shards",
-        type=_shards_arg,
-        default=1,
-        metavar="N",
-        help=(
-            "analyze the trace across N worker processes, partitioned "
-            "by shadow page; the merged report is byte-identical to a "
-            "sequential replay. 'auto' picks a count from cpu_count and "
-            "the trace's page histogram (default: 1 = sequential)"
-        ),
-    )
-    tp.add_argument(
         "--report-out",
         metavar="PATH",
         help="save the offline report (byte-identical to the live one)",
@@ -330,18 +326,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help=(
             "each worker writes a Chrome trace here at shutdown "
             "(combine with `repro trace merge`)"
-        ),
-    )
-    p.add_argument(
-        "--finish-shards",
-        type=int,
-        default=0,
-        metavar="N",
-        help=(
-            "opt-in FINISH-time post-pass: spool each session's bytes, "
-            "re-analyze the trace sharded across N processes and verify "
-            "byte-identity against the streaming report "
-            "(repro_service_shard_verify_total; default: off)"
         ),
     )
     p.add_argument(
@@ -477,18 +461,6 @@ def _add_cache_flag(p) -> None:
             "reports are byte-identical either way"
         ),
     )
-
-
-def _shards_arg(value: str):
-    """``--shards`` accepts an int or the literal ``auto``."""
-    if value == "auto":
-        return value
-    try:
-        return int(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"invalid shards value: {value!r} (an integer or 'auto')"
-        ) from None
 
 
 def _add_telemetry_flags(p) -> None:
@@ -810,104 +782,27 @@ def _cmd_trace_record(args) -> int:
     return 0
 
 
-def _auto_shards(trace_file) -> int:
-    """Resolve ``--shards auto``: shard only when it can plausibly win.
-
-    BENCH_parallel.json showed sharding *loses* on a single-core host
-    (fork + merge overhead, no parallelism) and on traces whose page
-    histogram is degenerate (every access on one shadow page leaves
-    N-1 workers idle).  Both cases resolve to 1; the decision and its
-    reason are printed so operators can override with an explicit N.
-    """
-    import os
-    from pathlib import Path
-
-    from repro.runtime import codec
-
-    cpus = os.cpu_count() or 1
-    if cpus == 1:
-        print(
-            "shards auto: 1 (single-core host; sharding would only add "
-            "fork+merge overhead)"
-        )
-        return 1
-    if not codec.is_binary_trace(trace_file):
-        print(
-            "shards auto: 1 (JSON-lines trace; sharded replay needs the "
-            "binary codec)"
-        )
-        return 1
-    hist = codec.page_histogram(Path(trace_file).read_bytes())
-    if hist["pages"] <= 1:
-        print(
-            f"shards auto: 1 (degenerate page histogram: "
-            f"{hist['pages']} distinct shadow page(s) — nothing to split)"
-        )
-        return 1
-    shards = min(cpus, hist["pages"], 8)
-    print(
-        f"shards auto: {shards} (cpu_count={cpus}, {hist['pages']} "
-        f"distinct shadow pages, skew {hist['skew']:.2f})"
-    )
-    return shards
-
-
 def _cmd_trace_replay(args) -> int:
     """Feed a recorded trace through a fresh detector (§4.5 offline
-    analysis).  The produced report is byte-identical to the live one —
-    and with ``--shards N`` the analysis fans out across N worker
-    processes partitioned by shadow page, still byte-identical."""
+    analysis).  The produced report is byte-identical to the live one."""
     import time
 
-    shards = args.shards
-    if shards == "auto":
-        shards = _auto_shards(args.trace_file)
-    if shards > 1:
-        from repro.detectors.parallel import replay_trace_sharded
+    from repro.api.profiles import profile
+    from repro.runtime.trace import replay_trace
 
-        start = time.perf_counter()
-        result = replay_trace_sharded(
-            args.trace_file, args.config, shards=shards,
-            transition_cache=False if args.no_transition_cache else None,
-        )
-        wall = time.perf_counter() - start
-        count = result.events
-        report = result.report
-        print(
-            f"replayed {count} events from {args.trace_file} under "
-            f"{args.config} across {shards} shards: "
-            f"{report.location_count} reported locations, "
-            f"{wall * 1e3:.0f} ms ({count / wall:,.0f} events/s)"
-            if wall > 0
-            else f"replayed {count} events: {report.location_count} locations"
-        )
-        for outcome in result.shards:
-            s = outcome.stats
-            print(
-                f"  shard {outcome.shard}: {outcome.warnings} warnings, "
-                f"{s['blocks_decoded']} blocks decoded, "
-                f"{s['blocks_skipped_shard']} skipped (foreign pages), "
-                f"{s['blocks_skipped_type']} skipped (no subscriber)"
-            )
-        if not result.skeleton_consistent:
-            print("  warning: shard segment graphs diverged (replay bug?)")
-    else:
-        from repro.api.profiles import profile
-        from repro.runtime.trace import replay_trace
-
-        det = profile(args.config).detector()
-        start = time.perf_counter()
-        count = replay_trace(args.trace_file, det)
-        det.finalize()
-        wall = time.perf_counter() - start
-        report = det.report
-        print(
-            f"replayed {count} events from {args.trace_file} under "
-            f"{args.config}: {report.location_count} reported locations, "
-            f"{wall * 1e3:.0f} ms ({count / wall:,.0f} events/s)"
-            if wall > 0
-            else f"replayed {count} events: {report.location_count} locations"
-        )
+    det = profile(args.config).detector()
+    start = time.perf_counter()
+    count = replay_trace(args.trace_file, det)
+    det.finalize()
+    wall = time.perf_counter() - start
+    report = det.report
+    print(
+        f"replayed {count} events from {args.trace_file} under "
+        f"{args.config}: {report.location_count} reported locations, "
+        f"{wall * 1e3:.0f} ms ({count / wall:,.0f} events/s)"
+        if wall > 0
+        else f"replayed {count} events: {report.location_count} locations"
+    )
     if args.full:
         print()
         print(report.format_full())
@@ -933,16 +828,6 @@ def _cmd_trace_stat(args) -> int:
         )
         for name, n in stats["by_type"].items():
             print(f"  {n:8d}  {name}")
-        from pathlib import Path as _Path
-
-        hist = codec.page_histogram(_Path(args.trace_file).read_bytes())
-        print(
-            f"  pages: {hist['pages']} distinct shadow pages, "
-            f"{hist['accesses']} accesses, skew {hist['skew']:.2f} "
-            f"(1.00 = uniform; high skew shards poorly)"
-        )
-        for page, n in hist["top"][:5]:
-            print(f"  {n:8d}  page {page:#x}")
         return 0
     import os
 
@@ -1043,7 +928,6 @@ def _cmd_serve(args) -> int:
         idle_timeout=args.idle_timeout,
         checkpoint_dir=args.checkpoint_dir,
         checkpoint_every=args.checkpoint_every,
-        finish_shards=args.finish_shards,
         finish_predict=args.finish_predict,
         **endpoint,
     )

@@ -39,11 +39,6 @@ from repro.detectors.hybrid import HybridDetector
 from repro.detectors.racetrack import RaceTrackDetector
 from repro.detectors.atomizer import AtomizerDetector
 from repro.detectors.lockset import LocksetMachine, ShadowWord, WordState
-from repro.detectors.parallel import (
-    ShardedReplayResult,
-    merge_reports,
-    replay_trace_sharded,
-)
 from repro.detectors.predict import PredictiveDetector
 from repro.detectors.report import (
     Finding,
@@ -80,7 +75,6 @@ __all__ = [
     "Segment",
     "SegmentGraph",
     "ShadowWord",
-    "ShardedReplayResult",
     "SuppressionEntry",
     "Suppressions",
     "VectorClock",
@@ -88,7 +82,5 @@ __all__ = [
     "WarningKind",
     "WordState",
     "classify_report",
-    "merge_reports",
     "validate_report_json",
-    "replay_trace_sharded",
 ]

@@ -865,7 +865,7 @@ class HelgrindDetector(EventDispatcher):
         (:class:`repro.detectors.predict.PredictiveDetector`) overrides
         it to run its offline post-pass and emit predicted findings.
         Callers that may hold either kind of detector (the CLI, the
-        harness, the service, sharded replay) call it unconditionally
+        harness, the service) call it unconditionally
         once the event stream is known to be finished.
         """
 

@@ -594,52 +594,6 @@ class LocksetMachine:
                     page[i] = (packed & ~_LS_FIELD) | ((new_id + 1) << _LS_SHIFT)
 
     # ------------------------------------------------------------------
-    # Shard merge (intra-trace parallel replay)
-    # ------------------------------------------------------------------
-
-    def dump_pages(self) -> dict:
-        """Portable dump of the packed shadow pages.
-
-        Packed words embed :data:`LOCKSETS` ids, which are positions in
-        this *process's* append-only table; the dump ships the id →
-        members mapping alongside (exactly like pickling does) so
-        :meth:`merge_pages` in another process can re-intern and remap.
-        """
-        return {
-            "locksets": LOCKSETS.dump(),
-            "pages": {pi: list(page) for pi, page in self._pages.items()},
-        }
-
-    def merge_pages(self, dump: dict) -> None:
-        """Graft another machine's dumped pages into this one.
-
-        The sharded replay driver's merge: each shard owns a disjoint
-        set of shadow pages (the partition is *by* page), so merging is
-        page-dict union plus a lockset-id remap through this process's
-        :data:`LOCKSETS` table.  Overlapping pages mean the caller's
-        partition was not a partition — refused loudly rather than
-        silently last-writer-wins.
-        """
-        remap = [LOCKSETS.id_of(s) for s in dump["locksets"]]
-        identity = remap == list(range(len(remap)))
-        for pi, page in dump["pages"].items():
-            if pi in self._pages:
-                raise ValueError(
-                    f"shadow page {pi} present in two shards; "
-                    "shard pages must be disjoint"
-                )
-            if identity:
-                self._pages[pi] = list(page)
-                continue
-            out = list(page)
-            for i, packed in enumerate(out):
-                field = (packed >> _LS_SHIFT) & _LS_MASK
-                if field:
-                    new_id = remap[field - 1]
-                    out[i] = (packed & ~_LS_FIELD) | ((new_id + 1) << _LS_SHIFT)
-            self._pages[pi] = out
-
-    # ------------------------------------------------------------------
     # Packed-word plumbing (used by the ShadowWord view; the access
     # paths inline the same logic)
     # ------------------------------------------------------------------

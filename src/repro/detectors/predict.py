@@ -48,8 +48,8 @@ Everything on-the-fly is inherited unchanged from
 :class:`~repro.detectors.helgrind.HelgrindDetector` configured as
 ``hwlc+dr``; the predictions land in the same :class:`Report` under the
 ``predicted-data-race`` / ``predicted-deadlock`` warning kinds when
-:meth:`finalize` runs (the CLI, harness, service and sharded replay all
-call it at end-of-stream).
+:meth:`finalize` runs (the CLI, harness and service all call it at
+end-of-stream).
 """
 
 from __future__ import annotations
@@ -94,11 +94,6 @@ class PredictiveDetector(HelgrindDetector):
     :meth:`finalize` once the event stream is complete to emit the
     predicted findings; it is idempotent, and a detector that is never
     finalized simply reports the live findings only.
-
-    ``predict_deadlocks`` exists for address-sharded replay
-    (:mod:`repro.detectors.parallel`): deadlock prediction consumes only
-    the replicated sync/lifecycle skeleton, so every shard would predict
-    the identical cycles — the driver leaves it on for shard 0 only.
     """
 
     telemetry_name = "predictive"
@@ -148,7 +143,6 @@ class PredictiveDetector(HelgrindDetector):
         #: is maintained regardless of ``queue_hb``).
         self._queue_lockctx: dict[tuple[int, int], list] = {}
         self._sem_lockctx: dict[int, deque] = {}
-        self.predict_deadlocks = True
         self._finalized = False
         self._stat_edges = 0
         self._stat_cycles_checked = 0
@@ -568,15 +562,13 @@ class PredictiveDetector(HelgrindDetector):
     def finalize(self) -> None:
         """Emit the predicted findings into :attr:`report` (idempotent).
 
-        Ordering is deterministic — ``(step, kind, message)`` — and
-        matches what sharded replay's merge reconstructs from per-shard
-        finalize passes, keeping sequential and sharded reports
-        byte-identical.
+        Ordering is deterministic — ``(step, kind, message)`` — so live,
+        offline and service reports stay byte-identical.
         """
         if self._finalized:
             return
         self._finalized = True
-        predicted = list(self._pending) if self.predict_deadlocks else []
+        predicted = list(self._pending)
         predicted.extend(self._predict_races())
         predicted.sort(key=lambda w: (w.step, w.kind, w.message))
         self._stat_predictions = len(predicted)

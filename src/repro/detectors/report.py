@@ -12,8 +12,7 @@ The structured read side: :meth:`Report.findings` views every warning
 as a :class:`Finding` (``kind`` ∈ ``race`` | ``deadlock`` |
 ``predicted_race`` | ``predicted_deadlock``), :meth:`Report.render`
 produces the canonical serialisation every consumer compares
-byte-for-byte (CLI ``--report-out``, service REPORT frames, the
-``--finish-shards`` verifier), and :meth:`Report.to_json` is the
+byte-for-byte (CLI ``--report-out``, service REPORT frames), and :meth:`Report.to_json` is the
 schema-validated machine twin (:func:`validate_report_json`).
 """
 
@@ -266,9 +265,8 @@ class Report:
         """The canonical report text.
 
         This is the byte-identity contract: the CLI's ``--report-out``
-        files, the service's REPORT frames, ``Session.report_text()``
-        and the ``--finish-shards`` verifier all compare this exact
-        string (no trailing newline).
+        files, the service's REPORT frames and ``Session.report_text()``
+        all compare this exact string (no trailing newline).
         """
         import json
 

@@ -195,33 +195,6 @@ class SegmentGraph:
     def segment_count(self) -> int:
         return self._next_id
 
-    def signature(self) -> tuple:
-        """Canonical digest of the graph's ordering-relevant state.
-
-        A hashable value built from the per-thread current and final
-        vector clocks — everything :meth:`happens_before` can observe,
-        nothing it cannot (segment *ids* are excluded: their numbering
-        depends on when threads were lazily started, which sharded
-        replay legitimately perturbs for threads first seen at a
-        filtered access).  Two graphs with equal signatures order every
-        pair of current/final segments identically.  The sharded replay
-        driver compares shard signatures to verify that replicating the
-        sync/lifecycle skeleton really did give every worker the same
-        happens-before context.
-        """
-
-        def _vc(vc: dict[int, int]) -> tuple:
-            return tuple(sorted(vc.items()))
-
-        return (
-            tuple(
-                sorted((tid, _vc(seg.vc)) for tid, seg in self._current.items())
-            ),
-            tuple(
-                sorted((tid, _vc(seg.vc)) for tid, seg in self._final.items())
-            ),
-        )
-
 
 def _join_vc(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
     """Pointwise maximum of two vector clocks."""

@@ -36,6 +36,8 @@ The hierarchy is intentionally shallow and mirrors the package layout:
   * :class:`SipParseError` — malformed SIP message on the simulated wire
     (:mod:`repro.sip.parser`).
   * :class:`WorkloadError` — invalid experiment / workload configuration.
+  * :class:`TraceFormatError` — a damaged or foreign RPTR trace
+    (:mod:`repro.runtime.codec`), carrying the byte ``offset``.
 """
 
 from __future__ import annotations
@@ -53,6 +55,7 @@ __all__ = [
     "SuppressionSyntaxError",
     "SipParseError",
     "WorkloadError",
+    "TraceFormatError",
 ]
 
 
@@ -139,3 +142,17 @@ class SipParseError(ReproError):
 
 class WorkloadError(ReproError):
     """An experiment or workload was configured inconsistently."""
+
+
+class TraceFormatError(ReproError, ValueError):
+    """A binary trace is not well-formed RPTR: bad magic, an unknown
+    record tag, or a record cut short by the end of the input.
+
+    ``offset`` is the byte position of the offending record from the
+    start of the trace.  Also a :class:`ValueError`, so callers that
+    caught the codec's earlier plain ``ValueError`` keep working.
+    """
+
+    def __init__(self, message: str, *, offset: int) -> None:
+        self.offset = offset
+        super().__init__(f"{message} at offset {offset}")

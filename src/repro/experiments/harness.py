@@ -22,12 +22,10 @@ serialise on the GIL.)
 from __future__ import annotations
 
 import time
-import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 from repro.api.profiles import profile
-from repro.detectors import HelgrindConfig
 from repro.detectors.classify import ClassifiedReport, classify_report
 from repro.oracle import GroundTruth, WarningCategory
 from repro.runtime import VM, RandomScheduler
@@ -83,30 +81,6 @@ class Figure6Row:
         if self.original == 0:
             return 0.0
         return (self.original - self.hwlc_dr) / self.original
-
-
-#: One-shot latch for the :func:`_detector_config` deprecation shim.
-_DETECTOR_CONFIG_WARNED = False
-
-
-def _detector_config(name: str) -> HelgrindConfig:
-    """Deprecated: use :func:`repro.api.detector_config`.
-
-    This was the harness's private name-to-configuration table; it is
-    now the public, validated ``repro.api.detector_config`` (itself a
-    thin veneer over :mod:`repro.api.profiles`).  The shim warns once
-    per process and will be removed next PR cycle (see ``docs/API.md``).
-    """
-    global _DETECTOR_CONFIG_WARNED
-    if not _DETECTOR_CONFIG_WARNED:
-        _DETECTOR_CONFIG_WARNED = True
-        warnings.warn(
-            "repro.experiments.harness._detector_config is deprecated; "
-            "use repro.api.detector_config",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-    return profile(name).config()
 
 
 def run_proxy_case(

@@ -41,19 +41,27 @@ replay-from-disk keep up with replay-from-memory.
 
 The write path (:class:`TraceWriter`) is streaming — events go out as
 encoded blocks, nothing is retained — and counts exact bytes written.
-The read path (:func:`read_events`) is a generator over ``(event_class,
-decoded fields...)`` rows; :func:`events_from_bytes` materialises real
-frozen :class:`~repro.runtime.events.Event` objects with canonical
-interned stacks, while :func:`repro.runtime.trace.replay_trace` skips
-the per-event allocation entirely with reusable flyweight twins.
+
+Every read path drives one record walker, :func:`_walk`, the only
+decoder code that reads record tags.  :func:`read_events` is a
+generator over ``(event_class, decoded fields...)`` rows;
+:func:`events_from_bytes` materialises real frozen
+:class:`~repro.runtime.events.Event` objects with canonical interned
+stacks; :func:`replay_blocks` (behind
+:func:`repro.runtime.trace.replay_trace`) and :class:`StreamDecoder`
+skip the per-event allocation entirely with reusable flyweight twins.
+A trace that is cut short, starts with the wrong magic or holds an
+unknown record tag raises :class:`~repro.errors.TraceFormatError`.
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import fields as dc_fields
-from typing import BinaryIO, Iterator
+from pathlib import Path
+from typing import BinaryIO, Callable, Iterator
 
+from repro.errors import TraceFormatError
 from repro.runtime.events import (
     AccessKind,
     BarrierWait,
@@ -88,12 +96,9 @@ __all__ = [
     "read_blocks",
     "read_events",
     "events_from_bytes",
-    "build_flyweights",
     "build_block_loops",
     "replay_tables",
     "replay_blocks",
-    "build_block_index",
-    "page_histogram",
     "is_binary_trace",
     "trace_stats",
 ]
@@ -172,6 +177,7 @@ _Q_POSITIONS: tuple[tuple[int, ...], ...] = tuple(
 )
 
 _TYPE_INDEX: dict[type, int] = {cls: i for i, cls in enumerate(EVENT_TYPES)}
+_ACCESS_TYPE_IDX = _TYPE_INDEX[MemoryAccess]
 
 # Sanity: specs must list every field, in declaration order.
 for _cls, _spec in _SPECS.items():
@@ -190,7 +196,12 @@ def _write_varint(buf: bytearray, n: int) -> None:
 
 
 def _read_varint(data: bytes, pos: int) -> tuple[int, int]:
-    """Read unsigned LEB128 at ``pos`` → (value, next pos)."""
+    """Read unsigned LEB128 at ``pos`` → (value, next pos).
+
+    A varint that runs off the end of ``data`` raises
+    :class:`IndexError`, which :func:`_walk` reads as an incomplete
+    record.
+    """
     result = 0
     shift = 0
     while True:
@@ -214,17 +225,13 @@ class TraceWriter:
     ``block_rows`` caps how many rows one block may hold: a long
     same-type run (the dominant ``MemoryAccess`` stretches) is split
     into multiple consecutive blocks of that size.  The cap bounds the
-    writer's pending buffer and — more importantly — sets the
-    granularity of the page-aware block index
-    (:func:`build_block_index`): sharded replay can only skip *whole*
-    blocks, so smaller blocks mean a shard worker seeks past more
-    foreign data undecoded.  The header overhead stays amortised to
-    well under a byte per event at the default size.
+    writer's pending buffer and the size of one block a reader must
+    hold before it can decode it.  The header overhead stays amortised
+    to well under a byte per event at the default size.
     """
 
     #: Default block cap — large enough that the ~6-byte block header
-    #: is noise, small enough that single-page access runs produce
-    #: single-shard blocks.
+    #: is noise.
     DEFAULT_BLOCK_ROWS = 4096
 
     def __init__(
@@ -377,63 +384,146 @@ def is_binary_trace(path) -> bool:
         return fh.read(len(MAGIC)) == MAGIC
 
 
+#: ``on_block(type_idx, row_struct, count, base_step, at)`` — the
+#: consumer :func:`_walk` hands each complete event block to.
+BlockConsumer = Callable[[int, struct.Struct, int, "int | None", int], None]
+
+
+def _walk(
+    data: bytes,
+    pos: int,
+    strings: list,
+    frames: list,
+    stacks: list,
+    on_block: BlockConsumer,
+    *,
+    origin: int = 0,
+) -> tuple[int, int, int]:
+    """The record walker: the one decoder loop that reads record tags.
+
+    Walks the records of ``data`` from ``pos``.  String, frame and stack
+    definitions are appended to the caller's tables (``stacks[i]`` is a
+    canonical interned ``CallStack``).  Each complete event block goes
+    to ``on_block(type_idx, row_struct, count, base_step, at)``:
+    ``row_struct`` is the block's row :class:`struct.Struct`, ``at`` the
+    offset of its first row in ``data``, and ``base_step`` the SEQ_STEP
+    base (row ``i`` has step ``base_step + i`` and no step column) or
+    ``None`` when the rows carry their own steps.
+
+    The walk stops before the first incomplete record and returns
+    ``(stop, events, blocks)``: where it stopped and what it handed
+    over.  A whole-buffer caller checks ``stop`` reached the end
+    (:func:`_walk_trace`); :class:`StreamDecoder` keeps the rest for the
+    next chunk.  An unknown tag raises :class:`TraceFormatError`; its
+    offset is the tag's position plus ``origin`` (the stream offset of
+    ``data[0]``).
+    """
+    end = len(data)
+    row_structs = _ROW_STRUCTS
+    events = blocks = 0
+    while pos < end:
+        tag = data[pos]
+        # Parse the record; IndexError means it runs off the end.
+        try:
+            if tag == _TAG_BLOCK:
+                type_idx = data[pos + 1]
+                flags = data[pos + 2]
+                # Single-byte varints (the common case) inline.
+                n = data[pos + 3]
+                at = pos + 4
+                if n & 0x80:
+                    n, at = _read_varint(data, at - 1)
+                if flags & _FLAG_SEQ_STEP:
+                    base = data[at]
+                    at += 1
+                    if base & 0x80:
+                        base, at = _read_varint(data, at - 1)
+                else:
+                    base = None
+            elif tag == _TAG_STRING:
+                length, at = _read_varint(data, pos + 1)
+                if at + length > end:
+                    break
+                raw = data[at:at + length]
+                at += length
+            elif tag == _TAG_FRAME:
+                func, at = _read_varint(data, pos + 1)
+                file, at = _read_varint(data, at)
+                line, at = _read_varint(data, at)
+            elif tag == _TAG_STACK:
+                n, at = _read_varint(data, pos + 1)
+                frame_ids = []
+                for _ in range(n):
+                    fid, at = _read_varint(data, at)
+                    frame_ids.append(fid)
+            else:
+                raise TraceFormatError(
+                    f"corrupt trace: unknown record tag {tag}",
+                    offset=origin + pos,
+                )
+        except IndexError:
+            break
+        # Apply it — outside the try, so an IndexError raised by a
+        # consumer is never mistaken for a short record.
+        if tag == _TAG_BLOCK:
+            s = row_structs[type_idx][flags]
+            nxt = at + s.size * n
+            if nxt > end:
+                break
+            on_block(type_idx, s, n, base, at)
+            events += n
+            blocks += 1
+            pos = nxt
+            continue
+        if tag == _TAG_STRING:
+            strings.append(raw.decode("utf-8"))
+        elif tag == _TAG_FRAME:
+            frames.append(intern_frame(Frame(strings[func], strings[file], line)))
+        else:
+            stacks.append(intern_stack(tuple(frames[i] for i in frame_ids)))
+        pos = at
+    return pos, events, blocks
+
+
+def _walk_trace(
+    data: bytes, strings: list, frames: list, stacks: list, on_block: BlockConsumer
+) -> int:
+    """Walk a whole trace image; returns the event count.
+
+    Checks the magic, then that the walk consumed every byte: a trace
+    that ends inside a record raises :class:`TraceFormatError` (after
+    the complete blocks before the cut were handed over).
+    """
+    if not data.startswith(MAGIC):
+        raise TraceFormatError("not a binary trace (bad magic)", offset=0)
+    stop, events, _ = _walk(data, len(MAGIC), strings, frames, stacks, on_block)
+    if stop != len(data):
+        raise TraceFormatError("corrupt trace: incomplete record", offset=stop)
+    return events
+
+
 def read_blocks(data: bytes) -> Iterator[tuple]:
     """Block-level generator over an in-memory trace image.
 
     Yields ``(type_idx, stacks, strings, row_struct, block, base_step)``
-    per event block; ``stacks`` / ``strings`` are the decoder's live
+    per event block; ``stacks`` / ``strings`` are the decoder's
     interning tables (``stacks[i]`` is a canonical interned
     ``CallStack``), ``block`` is a zero-copy memoryview, and the
     consumer runs ``row_struct.iter_unpack`` over it — one C call per
-    block, not per event.  ``base_step`` is the SEQ_STEP base (row ``i``
-    has step ``base_step + i`` and no step column) or ``None`` when the
-    rows carry their own steps.  Consumers can also *skip* whole blocks
-    whose type nobody subscribes to without decoding a single row (the
-    fast replay path does).
+    block, not per event.  ``base_step`` is as :func:`_walk` describes.
+    The whole image is walked (and checked) before the first yield.
     """
-    if not data.startswith(MAGIC):
-        raise ValueError("not a binary trace (bad magic)")
-    view = memoryview(data)
-    pos = len(MAGIC)
-    end = len(data)
     strings: list[str] = []
     frames: list[Frame] = []
     stacks: list[tuple] = []
-    row_structs = _ROW_STRUCTS
-    while pos < end:
-        tag = data[pos]
-        pos += 1
-        if tag == _TAG_BLOCK:
-            type_idx = data[pos]
-            flags = data[pos + 1]
-            pos += 2
-            count, pos = _read_varint(data, pos)
-            if flags & _FLAG_SEQ_STEP:
-                base, pos = _read_varint(data, pos)
-            else:
-                base = None
-            s = row_structs[type_idx][flags]
-            size = s.size * count
-            yield type_idx, stacks, strings, s, view[pos:pos + size], base
-            pos += size
-        elif tag == _TAG_STRING:
-            length, pos = _read_varint(data, pos)
-            strings.append(data[pos:pos + length].decode("utf-8"))
-            pos += length
-        elif tag == _TAG_FRAME:
-            func, pos = _read_varint(data, pos)
-            file, pos = _read_varint(data, pos)
-            line, pos = _read_varint(data, pos)
-            frames.append(Frame(strings[func], strings[file], line))
-        elif tag == _TAG_STACK:
-            count, pos = _read_varint(data, pos)
-            frame_ids = []
-            for _ in range(count):
-                fid, pos = _read_varint(data, pos)
-                frame_ids.append(fid)
-            stacks.append(intern_stack(tuple(frames[i] for i in frame_ids)))
-        else:
-            raise ValueError(f"corrupt trace: unknown record tag {tag}")
+    found: list[tuple] = []
+    _walk_trace(
+        data, strings, frames, stacks,
+        lambda type_idx, s, n, base, at: found.append((type_idx, s, n, base, at)),
+    )
+    view = memoryview(data)
+    for type_idx, s, n, base, at in found:
+        yield type_idx, stacks, strings, s, view[at:at + s.size * n], base
 
 
 def read_events(data: bytes) -> Iterator[tuple]:
@@ -573,19 +663,6 @@ def _make_seq_filler(cls, fly):
     return ns["_fill"]
 
 
-def build_flyweights() -> list:
-    """Per-type ``fill`` functions, indexed like :data:`EVENT_TYPES`.
-
-    Each call returns fresh flyweight instances (callers that interleave
-    two decoders must not share them).
-    """
-    fillers = []
-    for cls in EVENT_TYPES:
-        fly = _flyweight_class(cls)()
-        fillers.append(_make_filler(cls, fly))
-    return fillers
-
-
 def _make_block_loop(cls, fly, *, seq: bool):
     """Code-generate one fused single-handler block loop.
 
@@ -653,44 +730,50 @@ def build_block_loops() -> list:
 #: codegen (~48 ``exec`` calls) costs a few milliseconds, which would
 #: otherwise dwarf the decode itself on small traces.  The flyweights
 #: inside are shared: fine for any number of *sequential* replays in a
-#: process, not for concurrent ones (use :func:`build_block_loops` /
-#: :func:`build_flyweights` for private instances).
+#: process, not for concurrent ones (:class:`StreamDecoder` builds
+#: private ones).
 _REPLAY_TABLES: tuple[list, list, list] | None = None
 
 
-def replay_tables() -> tuple[list, list, list]:
-    """``(block_loops, fillers, seq_fillers)``, built once and cached.
+def _build_tables() -> tuple[list, list, list]:
+    """Fresh ``(block_loops, fillers, seq_fillers)``.
 
     The two filler lists share one flyweight per type (a plain and a
     SEQ_STEP decode of the same block must populate the same object);
     the block loops keep their own.
     """
+    fillers = []
+    seq_fillers = []
+    for cls in EVENT_TYPES:
+        fly = _flyweight_class(cls)()
+        fillers.append(_make_filler(cls, fly))
+        seq_fillers.append(_make_seq_filler(cls, fly))
+    return build_block_loops(), fillers, seq_fillers
+
+
+def replay_tables() -> tuple[list, list, list]:
+    """:func:`_build_tables`, built once per process and cached."""
     global _REPLAY_TABLES
     if _REPLAY_TABLES is None:
-        fillers = []
-        seq_fillers = []
-        for cls in EVENT_TYPES:
-            fly = _flyweight_class(cls)()
-            fillers.append(_make_filler(cls, fly))
-            seq_fillers.append(_make_seq_filler(cls, fly))
-        _REPLAY_TABLES = (build_block_loops(), fillers, seq_fillers)
+        _REPLAY_TABLES = _build_tables()
     return _REPLAY_TABLES
 
 
 class ReplayStats:
     """Per-replay block accounting for :func:`replay_blocks`.
 
-    Splits the skipped-undecoded tally by *why* the block was skipped:
-
+    ``blocks_decoded``
+        blocks whose rows went to at least one handler;
     ``blocks_skipped_type``
-        no handler subscribes to the block's event type (the classic
-        fast path — e.g. ``BarrierWait`` under every helgrind config);
+        no handler subscribes to the block's event type, so its rows
+        were never decoded (e.g. ``BarrierWait`` under every helgrind
+        config);
     ``blocks_skipped_shard``
-        the caller's ``skip_blocks`` set named the block — sharded
-        replay seeking past blocks whose pages belong to other shards.
+        always 0.  Intra-trace sharded replay was removed; the slot
+        stays because benchmark drivers still read it.
 
-    ``events_skipped`` counts the rows inside skipped blocks (of either
-    kind); they still count toward the replay's returned event total.
+    ``events_skipped`` counts the rows inside skipped blocks; they
+    still count toward the replay's returned event total.
     """
 
     __slots__ = (
@@ -714,10 +797,10 @@ def _bulk_for(type_idx: int, fns) -> "object | None":
     """Resolve a batched block consumer for one dispatch entry.
 
     Only the sole-subscriber ``MemoryAccess`` shape qualifies: the
-    handler must be a bound method (closures from telemetry wrappers or
-    shard page filters have no ``__self__`` and fall through), and its
-    owner must publish ``bulk_access_ready()`` and opt in.  Everything
-    else returns ``None`` and the per-event loops run unchanged.
+    handler must be a bound method (closures from telemetry wrappers
+    have no ``__self__`` and fall through), and its owner must publish
+    ``bulk_access_ready()`` and opt in.  Everything else returns
+    ``None`` and the per-event loops run unchanged.
     """
     if type_idx != _ACCESS_TYPE_IDX or len(fns) != 1:
         return None
@@ -730,43 +813,21 @@ def _bulk_for(type_idx: int, fns) -> "object | None":
     return owner.bulk_access
 
 
-def replay_blocks(
-    data: bytes,
-    handler_table,
-    vm,
-    *,
-    skip_blocks: frozenset | set | None = None,
-    stats: ReplayStats | None = None,
-) -> int:
-    """The replay-from-binary hot loop; returns the event count.
+def _dispatch_table(handler_table, tables: tuple[list, list, list]) -> list:
+    """One merged per-type dispatch entry per :data:`EVENT_TYPES` index —
+    a single list index per block instead of separate handler / loop /
+    filler lookups: ``(single handler or None, handlers, (plain, seq)
+    loops, filler, seq filler, bulk consumer or None)``.
 
-    A manually inlined variant of :func:`read_blocks` + dispatch —
-    no generator suspension, no per-block tuple, zero-copy memoryview
-    rows, and single-byte varints (the overwhelmingly common case)
-    read without a function call.  ``handler_table[type_idx]`` is a
-    tuple of handler callables (empty → the block is skipped without
-    decoding a row); one subscriber takes the fused codegen loop,
-    several share a flyweight per row.
-
-    ``skip_blocks`` is a set of block record offsets (the tag byte's
-    offset, as reported by :func:`build_block_index`) to seek past
-    undecoded — the sharded-replay fast path.  Skipped rows still count
-    toward the returned event total, so every shard reports the same
-    trace length.  ``stats`` (a :class:`ReplayStats`) receives the
-    block accounting when given; the default path pays nothing for it.
+    ``handler_table[type_idx]`` is a tuple of handler callables (the
+    shape :func:`repro.runtime.trace.build_handler_table` builds);
+    ``tables`` comes from :func:`_build_tables` / :func:`replay_tables`.
     """
-    if not data.startswith(MAGIC):
-        raise ValueError("not a binary trace (bad magic)")
-    loops, fillers, seq_fillers = replay_tables()
-    # One merged per-type dispatch entry — a single list index per block
-    # instead of separate struct/handler/loop/filler lookups:
-    # ``(struct variants, single handler or None, handlers, (plain,
-    # seq) loops, filler, seq filler, bulk consumer or None)``.
-    dispatch = [
+    loops, fillers, seq_fillers = tables
+    return [
         (
-            _ROW_STRUCTS[i],
             fns[0] if len(fns) == 1 else None,
-            fns,
+            tuple(fns),
             loops[i],
             fillers[i],
             seq_fillers[i],
@@ -774,253 +835,85 @@ def replay_blocks(
         )
         for i, fns in enumerate(handler_table)
     ]
+
+
+def _block_consumer(
+    dispatch: list, data: bytes, stacks: list, strings: list, vm,
+    stats: ReplayStats | None = None,
+) -> BlockConsumer:
+    """The per-block dispatch for :func:`_walk` over ``data``.
+
+    A type nobody subscribes to is skipped without decoding a row.  One
+    subscriber takes the bulk kernel when its owner offers one, a
+    single-row block is unpacked straight from the backing bytes (no
+    memoryview slice, no iterator — types alternating in the stream
+    fragment blocks), and anything else runs the fused codegen loop.
+    Several subscribers share one flyweight per row.  ``stats``
+    receives the block accounting when given.
+    """
     view = memoryview(data)
-    pos = len(MAGIC)
-    end = len(data)
+
+    def consume(type_idx, s, n, base, at):
+        single, fns, loops, fill, seq_fill, bulk = dispatch[type_idx]
+        if stats is not None:
+            if fns:
+                stats.blocks_decoded += 1
+            else:
+                stats.blocks_skipped_type += 1
+                stats.events_skipped += n
+        if single is not None:
+            if n == 1:
+                row = s.unpack_from(data, at)
+                if base is None:
+                    single(fill(stacks, strings, row), vm)
+                else:
+                    single(seq_fill(stacks, strings, row, base), vm)
+                return
+            block = view[at:at + s.size * n]
+            if bulk is None or not bulk(block, s, base, stacks, vm):
+                if base is None:
+                    loops[0](block, s, stacks, strings, single, vm, 0)
+                else:
+                    loops[1](block, s, stacks, strings, single, vm, base)
+        elif fns:
+            block = view[at:at + s.size * n]
+            if base is None:
+                for row in s.iter_unpack(block):
+                    event = fill(stacks, strings, row)
+                    for fn in fns:
+                        fn(event, vm)
+            else:
+                for i, row in enumerate(s.iter_unpack(block)):
+                    event = seq_fill(stacks, strings, row, base + i)
+                    for fn in fns:
+                        fn(event, vm)
+
+    return consume
+
+
+def replay_blocks(
+    data: bytes,
+    handler_table,
+    vm,
+    *,
+    stats: ReplayStats | None = None,
+) -> int:
+    """The replay-from-binary hot loop; returns the event count.
+
+    ``handler_table[type_idx]`` is a tuple of handler callables (empty →
+    the block is skipped without decoding a row); dispatch is
+    :func:`_block_consumer`'s.  ``stats`` (a :class:`ReplayStats`)
+    receives the block accounting when given.  A damaged trace raises
+    :class:`TraceFormatError`.
+    """
     strings: list[str] = []
     frames: list[Frame] = []
     stacks: list[tuple] = []
-    count = 0
-    while pos < end:
-        tag = data[pos]
-        record_at = pos
-        pos += 1
-        if tag == _TAG_BLOCK:
-            entry = dispatch[data[pos]]
-            flags = data[pos + 1]
-            pos += 2
-            n = data[pos]
-            pos += 1
-            if n & 0x80:
-                n, pos = _read_varint(data, pos - 1)
-            if flags & _FLAG_SEQ_STEP:
-                base = data[pos]
-                pos += 1
-                if base & 0x80:
-                    base, pos = _read_varint(data, pos - 1)
-            else:
-                base = None
-            s = entry[0][flags]
-            size = s.size * n
-            count += n
-            if skip_blocks is not None and record_at in skip_blocks:
-                if stats is not None:
-                    stats.blocks_skipped_shard += 1
-                    stats.events_skipped += n
-                pos += size
-                continue
-            single = entry[1]
-            if stats is not None:
-                if single is None and not entry[2]:
-                    stats.blocks_skipped_type += 1
-                    stats.events_skipped += n
-                else:
-                    stats.blocks_decoded += 1
-            if single is not None:
-                if n == 1:
-                    # Single-row block (types alternating in the stream
-                    # fragment blocks): unpack straight from the backing
-                    # bytes — no memoryview slice, no iterator.
-                    row = s.unpack_from(data, pos)
-                    if base is None:
-                        single(entry[4](stacks, strings, row), vm)
-                    else:
-                        single(entry[5](stacks, strings, row, base), vm)
-                else:
-                    block = view[pos:pos + size]
-                    bulk = entry[6]
-                    if bulk is None or not bulk(block, s, base, stacks, vm):
-                        pair = entry[3]
-                        if base is None:
-                            pair[0](block, s, stacks, strings, single, vm, 0)
-                        else:
-                            pair[1](block, s, stacks, strings, single, vm, base)
-            elif entry[2]:
-                fns = entry[2]
-                block = view[pos:pos + size]
-                if base is None:
-                    fill = entry[4]
-                    for row in s.iter_unpack(block):
-                        event = fill(stacks, strings, row)
-                        for fn in fns:
-                            fn(event, vm)
-                else:
-                    fill = entry[5]
-                    for i, row in enumerate(s.iter_unpack(block)):
-                        event = fill(stacks, strings, row, base + i)
-                        for fn in fns:
-                            fn(event, vm)
-            pos += size
-        elif tag == _TAG_STRING:
-            length, pos = _read_varint(data, pos)
-            strings.append(data[pos:pos + length].decode("utf-8"))
-            pos += length
-        elif tag == _TAG_FRAME:
-            func, pos = _read_varint(data, pos)
-            file, pos = _read_varint(data, pos)
-            line, pos = _read_varint(data, pos)
-            frames.append(Frame(strings[func], strings[file], line))
-        elif tag == _TAG_STACK:
-            n, pos = _read_varint(data, pos)
-            frame_ids = []
-            for _ in range(n):
-                fid, pos = _read_varint(data, pos)
-                frame_ids.append(fid)
-            stacks.append(intern_stack(tuple(frames[i] for i in frame_ids)))
-        else:
-            raise ValueError(f"corrupt trace: unknown record tag {tag}")
-    return count
-
-
-# ----------------------------------------------------------------------
-# Page-aware block index (the sharded-replay seek table)
-# ----------------------------------------------------------------------
-
-#: Shadow-page size must agree with the lock-set machine's
-#: (:mod:`repro.detectors.lockset` uses 2**10-word pages); the shard
-#: partition keys on the same pages so every word's whole access
-#: history lands in exactly one shard.
-DEFAULT_PAGE_BITS = 10
-
-#: ``MemoryAccess`` is the partitioned event type; everything else is
-#: skeleton, replicated to every shard.
-_ACCESS_TYPE_IDX = _TYPE_INDEX[MemoryAccess]
-
-
-def build_block_index(
-    data: bytes,
-    num_shards: int,
-    *,
-    page_bits: int = DEFAULT_PAGE_BITS,
-) -> dict[int, int]:
-    """Map each ``MemoryAccess`` block to the set of shards it touches.
-
-    One pass over the trace image: for every access block, the ``addr``
-    column is scanned and each row's shard — ``(addr >> page_bits) %
-    num_shards`` — is OR-ed into a bitmask.  Returns ``{block record
-    offset: shard bitmask}`` where the offset is that of the block's
-    tag byte, the same coordinate :func:`replay_blocks` checks its
-    ``skip_blocks`` set against.  A shard worker derives its skip set
-    as every block whose mask misses its bit, and needs a per-row page
-    filter only for *mixed* blocks (mask with more than one bit).
-
-    Non-access blocks are not indexed — they are skeleton (sync, lock,
-    thread-lifecycle, allocation) and every shard must replay them.
-    The scan early-exits a block once its mask saturates.
-    """
-    if not data.startswith(MAGIC):
-        raise ValueError("not a binary trace (bad magic)")
-    if num_shards < 1:
-        raise ValueError("num_shards must be >= 1")
-    index: dict[int, int] = {}
-    full_mask = (1 << num_shards) - 1
-    pos = len(MAGIC)
-    end = len(data)
-    while pos < end:
-        tag = data[pos]
-        record_at = pos
-        pos += 1
-        if tag == _TAG_BLOCK:
-            type_idx = data[pos]
-            flags = data[pos + 1]
-            pos += 2
-            n, pos = _read_varint(data, pos)
-            if flags & _FLAG_SEQ_STEP:
-                _, pos = _read_varint(data, pos)
-            s = _ROW_STRUCTS[type_idx][flags]
-            size = s.size * n
-            if type_idx == _ACCESS_TYPE_IDX:
-                addr_col = 2 if flags & _FLAG_SEQ_STEP else 3
-                mask = 0
-                for row in s.iter_unpack(data[pos:pos + size]):
-                    mask |= 1 << ((row[addr_col] >> page_bits) % num_shards)
-                    if mask == full_mask:
-                        break
-                index[record_at] = mask
-            pos += size
-        elif tag == _TAG_STRING:
-            length, pos = _read_varint(data, pos)
-            pos += length
-        elif tag == _TAG_FRAME:
-            _, pos = _read_varint(data, pos)
-            _, pos = _read_varint(data, pos)
-            _, pos = _read_varint(data, pos)
-        elif tag == _TAG_STACK:
-            n, pos = _read_varint(data, pos)
-            for _ in range(n):
-                _, pos = _read_varint(data, pos)
-        else:
-            raise ValueError(f"corrupt trace: unknown record tag {tag}")
-    return index
-
-
-def page_histogram(
-    data: bytes,
-    *,
-    page_bits: int = DEFAULT_PAGE_BITS,
-    top: int = 10,
-) -> dict:
-    """Events-per-shadow-page distribution of a trace's memory accesses.
-
-    The shard-balance predictor behind ``repro trace stat``: accesses
-    partition across shards by page, so a trace whose accesses pile
-    onto one page cannot parallelise.  Returns::
-
-        {"accesses": int,           # MemoryAccess rows in the trace
-         "pages": int,              # distinct shadow pages touched
-         "top": [(page, count)],    # hottest pages, descending
-         "skew": float}             # hottest page / mean page load
-
-    ``skew`` is 1.0 for a perfectly uniform trace and approaches
-    ``pages`` as everything collapses onto one page; 0.0 when there
-    are no accesses at all.
-    """
-    if not data.startswith(MAGIC):
-        raise ValueError("not a binary trace (bad magic)")
-    counts: dict[int, int] = {}
-    pos = len(MAGIC)
-    end = len(data)
-    while pos < end:
-        tag = data[pos]
-        pos += 1
-        if tag == _TAG_BLOCK:
-            type_idx = data[pos]
-            flags = data[pos + 1]
-            pos += 2
-            n, pos = _read_varint(data, pos)
-            if flags & _FLAG_SEQ_STEP:
-                _, pos = _read_varint(data, pos)
-            s = _ROW_STRUCTS[type_idx][flags]
-            size = s.size * n
-            if type_idx == _ACCESS_TYPE_IDX:
-                addr_col = 2 if flags & _FLAG_SEQ_STEP else 3
-                for row in s.iter_unpack(data[pos:pos + size]):
-                    page = row[addr_col] >> page_bits
-                    counts[page] = counts.get(page, 0) + 1
-            pos += size
-        elif tag == _TAG_STRING:
-            length, pos = _read_varint(data, pos)
-            pos += length
-        elif tag == _TAG_FRAME:
-            _, pos = _read_varint(data, pos)
-            _, pos = _read_varint(data, pos)
-            _, pos = _read_varint(data, pos)
-        elif tag == _TAG_STACK:
-            n, pos = _read_varint(data, pos)
-            for _ in range(n):
-                _, pos = _read_varint(data, pos)
-        else:
-            raise ValueError(f"corrupt trace: unknown record tag {tag}")
-    accesses = sum(counts.values())
-    pages = len(counts)
-    hottest = max(counts.values()) if counts else 0
-    mean = accesses / pages if pages else 0.0
-    return {
-        "accesses": accesses,
-        "pages": pages,
-        "top": sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))[:top],
-        "skew": (hottest / mean) if mean else 0.0,
-    }
+    consume = _block_consumer(
+        _dispatch_table(handler_table, replay_tables()),
+        data, stacks, strings, vm, stats,
+    )
+    return _walk_trace(data, strings, frames, stacks, consume)
 
 
 # ----------------------------------------------------------------------
@@ -1028,18 +921,8 @@ def page_histogram(
 # ----------------------------------------------------------------------
 
 
-def _try_varint(data: bytes, pos: int, end: int) -> tuple[int, int] | None:
-    """Read unsigned LEB128 at ``pos``; ``None`` if it runs off ``end``."""
-    result = 0
-    shift = 0
-    while pos < end:
-        b = data[pos]
-        pos += 1
-        result |= (b & 0x7F) << shift
-        if not b & 0x80:
-            return result, pos
-        shift += 7
-    return None
+def _skip_block(type_idx, s, n, base, at) -> None:
+    """The consumer of an unbound :class:`StreamDecoder`."""
 
 
 class StreamDecoder:
@@ -1051,13 +934,14 @@ class StreamDecoder:
     :meth:`feed` buffers input and decodes every *complete* record,
     leaving the trailing fragment buffered for the next chunk, so the
     chunking of the transport never changes what the detectors see.
+    :meth:`close` declares the end of the stream and rejects a
+    leftover fragment.
 
-    Dispatch uses the exact machinery of :func:`replay_blocks` — fused
-    codegen loops for single-subscriber types, shared flyweights for
-    multi-subscriber ones, undecoded skipping for types nobody wants —
-    but with *private* tables (built at :meth:`bind` time), so any
-    number of decoders can run on concurrent threads (one per analysis
-    session) without sharing mutable flyweight state.
+    Decoding is the same :func:`_walk` + :func:`_block_consumer` pair
+    :func:`replay_blocks` runs, but with *private* flyweight tables
+    (built at :meth:`bind` time), so any number of decoders can run on
+    concurrent threads (one per analysis session) without sharing
+    mutable flyweight state.
 
     The decoder is picklable mid-stream: its interning tables, counters
     and buffered fragment travel; the unpicklable codegen tables and
@@ -1102,25 +986,7 @@ class StreamDecoder:
         dispatches to nobody, which is what pure accounting consumers
         (``trace stat``-style) want.
         """
-        fillers = []
-        seq_fillers = []
-        for cls in EVENT_TYPES:
-            fly = _flyweight_class(cls)()
-            fillers.append(_make_filler(cls, fly))
-            seq_fillers.append(_make_seq_filler(cls, fly))
-        loops = build_block_loops()
-        self._dispatch = [
-            (
-                _ROW_STRUCTS[i],
-                fns[0] if len(fns) == 1 else None,
-                tuple(fns),
-                loops[i],
-                fillers[i],
-                seq_fillers[i],
-                _bulk_for(i, fns),
-            )
-            for i, fns in enumerate(handler_table)
-        ]
+        self._dispatch = _dispatch_table(handler_table, _build_tables())
         self._vm = vm
 
     # -- pickling (checkpoint support) ---------------------------------
@@ -1178,140 +1044,47 @@ class StreamDecoder:
         decoded by *this* call."""
         self._buf += data
         self.bytes_fed += len(data)
-        return self._drain()
-
-    def _drain(self) -> int:
         buf = self._buf
         if not self._magic_seen:
             if len(buf) < len(MAGIC):
                 return 0
             if bytes(buf[: len(MAGIC)]) != MAGIC:
-                raise ValueError("not a binary trace (bad magic)")
+                raise TraceFormatError("not a binary trace (bad magic)", offset=0)
             del buf[: len(MAGIC)]
             self.bytes_consumed += len(MAGIC)
             self._magic_seen = True
         if not buf:
             return 0
         data = bytes(buf)
-        view = memoryview(data)
-        pos = 0
-        end = len(data)
-        dispatch = self._dispatch
-        vm = self._vm
-        strings = self._strings
-        frames = self._frames
-        stacks = self._stacks
-        events = 0
-        blocks = 0
-        while pos < end:
-            tag = data[pos]
-            npos = pos + 1
-            if tag == _TAG_BLOCK:
-                if end - npos < 2:
-                    break
-                type_idx = data[npos]
-                flags = data[npos + 1]
-                npos += 2
-                r = _try_varint(data, npos, end)
-                if r is None:
-                    break
-                n, npos = r
-                if flags & _FLAG_SEQ_STEP:
-                    r = _try_varint(data, npos, end)
-                    if r is None:
-                        break
-                    base, npos = r
-                else:
-                    base = None
-                s = _ROW_STRUCTS[type_idx][flags]
-                size = s.size * n
-                if end - npos < size:
-                    break
-                if dispatch is not None:
-                    entry = dispatch[type_idx]
-                    single = entry[1]
-                    if single is not None:
-                        block = view[npos:npos + size]
-                        bulk = entry[6]
-                        if bulk is None or not bulk(block, s, base, stacks, vm):
-                            pair = entry[3]
-                            if base is None:
-                                pair[0](
-                                    block, s, stacks, strings, single, vm, 0
-                                )
-                            else:
-                                pair[1](
-                                    block, s, stacks, strings, single, vm, base
-                                )
-                    elif entry[2]:
-                        fns = entry[2]
-                        block = view[npos:npos + size]
-                        if base is None:
-                            fill = entry[4]
-                            for row in s.iter_unpack(block):
-                                event = fill(stacks, strings, row)
-                                for fn in fns:
-                                    fn(event, vm)
-                        else:
-                            fill = entry[5]
-                            for i, row in enumerate(s.iter_unpack(block)):
-                                event = fill(stacks, strings, row, base + i)
-                                for fn in fns:
-                                    fn(event, vm)
-                events += n
-                blocks += 1
-                npos += size
-            elif tag == _TAG_STRING:
-                r = _try_varint(data, npos, end)
-                if r is None:
-                    break
-                length, npos = r
-                if end - npos < length:
-                    break
-                strings.append(data[npos:npos + length].decode("utf-8"))
-                npos += length
-            elif tag == _TAG_FRAME:
-                r = _try_varint(data, npos, end)
-                if r is None:
-                    break
-                func, npos = r
-                r = _try_varint(data, npos, end)
-                if r is None:
-                    break
-                file, npos = r
-                r = _try_varint(data, npos, end)
-                if r is None:
-                    break
-                line, npos = r
-                frames.append(
-                    intern_frame(Frame(strings[func], strings[file], line))
-                )
-            elif tag == _TAG_STACK:
-                r = _try_varint(data, npos, end)
-                if r is None:
-                    break
-                count, npos = r
-                frame_ids = []
-                incomplete = False
-                for _ in range(count):
-                    r = _try_varint(data, npos, end)
-                    if r is None:
-                        incomplete = True
-                        break
-                    fid, npos = r
-                    frame_ids.append(fid)
-                if incomplete:
-                    break
-                stacks.append(intern_stack(tuple(frames[i] for i in frame_ids)))
-            else:
-                raise ValueError(f"corrupt trace: unknown record tag {tag}")
-            pos = npos
-        if pos:
-            del buf[:pos]
-            self.bytes_consumed += pos
+        if self._dispatch is None:
+            consume = _skip_block
+        else:
+            consume = _block_consumer(
+                self._dispatch, data, self._stacks, self._strings, self._vm
+            )
+        stop, events, blocks = _walk(
+            data, 0, self._strings, self._frames, self._stacks, consume,
+            origin=self.bytes_consumed,
+        )
+        if stop:
+            del buf[:stop]
+            self.bytes_consumed += stop
         self.events_decoded += events
         self.blocks_decoded += blocks
         return events
+
+    def close(self) -> None:
+        """Declare the end of the stream.
+
+        Raises :class:`TraceFormatError` when a fragment is still
+        buffered: the stream ended inside a record (or inside the
+        magic), so what was decoded is not the whole trace.
+        """
+        if self._buf:
+            raise TraceFormatError(
+                "corrupt trace: stream ended inside a record",
+                offset=self.bytes_consumed,
+            )
 
 
 def trace_stats(path) -> dict:
@@ -1320,24 +1093,23 @@ def trace_stats(path) -> dict:
     One pass over the file: event counts by type, interning-table
     populations, file size, and bytes/event.
     """
-    import os
-
-    data = open(path, "rb").read()
+    data = Path(path).read_bytes()
     by_type: dict[str, int] = {}
-    strings = stacks = 0
-    total = 0
-    for cls, _stacks, _strings, _row in read_events(data):
-        name = cls.__name__
-        by_type[name] = by_type.get(name, 0) + 1
-        total += 1
-        strings = len(_strings)
-        stacks = len(_stacks)
+    names = [cls.__name__ for cls in EVENT_TYPES]
+
+    def count(type_idx, s, n, base, at):
+        name = names[type_idx]
+        by_type[name] = by_type.get(name, 0) + n
+
+    strings: list[str] = []
+    stacks: list[tuple] = []
+    total = _walk_trace(data, strings, [], stacks, count)
     return {
         "path": str(path),
-        "file_bytes": os.path.getsize(path),
+        "file_bytes": len(data),
         "events": total,
         "by_type": dict(sorted(by_type.items(), key=lambda kv: -kv[1])),
-        "strings": strings,
-        "stacks": stacks,
-        "bytes_per_event": (os.path.getsize(path) / total) if total else 0.0,
+        "strings": len(strings),
+        "stacks": len(stacks),
+        "bytes_per_event": (len(data) / total) if total else 0.0,
     }

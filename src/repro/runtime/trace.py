@@ -330,10 +330,8 @@ def build_handler_table(hooks, vm=None) -> list[tuple]:
     The VM's route-building, done once for a whole replay: one tuple of
     handler callables per :data:`EVENT_TYPES` index.  Hooks exposing
     ``handler_for`` subscribe selectively; legacy hooks (bare
-    ``handle``) get everything.  Shared by :func:`replay_trace`, the
-    streaming :class:`repro.api.Session`, and the sharded driver in
-    :mod:`repro.detectors.parallel` (which additionally wraps the
-    ``MemoryAccess`` entries with its page filter).
+    ``handle``) get everything.  Shared by :func:`replay_trace` and the
+    streaming :class:`repro.api.Session`.
     """
     handler_table: list[tuple] = []
     for cls in EVENT_TYPES:

@@ -22,6 +22,7 @@ import json
 import socket
 from pathlib import Path
 
+from repro.errors import ReproError
 from repro.service import protocol
 
 __all__ = ["AnalysisClient", "ServiceError", "fetch_report"]
@@ -30,7 +31,7 @@ __all__ = ["AnalysisClient", "ServiceError", "fetch_report"]
 DEFAULT_CHUNK_BYTES = 32 * 1024
 
 
-class ServiceError(Exception):
+class ServiceError(ReproError):
     """The server replied with an ERROR frame (or hung up mid-call)."""
 
 

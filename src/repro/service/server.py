@@ -83,7 +83,6 @@ class AnalysisServer:
         flight=None,
         tracer=None,
         trace_out: str | None = None,
-        finish_shards: int = 0,
         finish_predict: bool = False,
     ) -> None:
         if listen:
@@ -129,13 +128,6 @@ class AnalysisServer:
         #: ``repro trace merge``.
         self.tracer = tracer
         self.trace_out = trace_out
-        #: Opt-in FINISH-time verification pass: when >= 1, each session
-        #: spools its ingested byte stream and, after shipping the
-        #: streaming report, re-analyses the whole trace sharded across
-        #: this many worker processes and checks byte-identity
-        #: (``repro_service_shard_verify_total``).  0 disables — no
-        #: spooling, no extra cost.
-        self.finish_shards = finish_shards
         #: Opt-in FINISH-time predictive post-pass: each session spools
         #: its byte stream and, *before* shipping the report, replays it
         #: under the ``predictive`` profile and appends the predicted

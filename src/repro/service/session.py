@@ -28,6 +28,7 @@ import threading
 import time
 
 from repro.api import Session
+from repro.errors import TraceFormatError
 from repro.service import protocol
 from repro.service.checkpoint import Checkpoint
 
@@ -81,19 +82,13 @@ class ServiceSession:
         #: client's spent credits (``== queue_blocks`` ⇒ client stalled).
         self._uncredited = 0
         self._events_since_checkpoint = 0
-        #: FINISH-time post-passes (``server.finish_shards`` /
-        #: ``server.finish_predict``): the analysed byte stream is
-        #: spooled to a temp file so the whole trace can be replayed —
-        #: sharded and byte-compared against the streaming report,
-        #: and/or under the predictive profile to append predicted
-        #: findings.  Resumed sessions skip it — their spool would be
-        #: missing everything before the checkpoint.
+        #: FINISH-time predictive post-pass (``server.finish_predict``):
+        #: the analysed byte stream is spooled to a temp file so the
+        #: whole trace can be replayed under the predictive profile to
+        #: append predicted findings.  Resumed sessions skip it — their
+        #: spool would be missing everything before the checkpoint.
         self._spool = None
-        wants_spool = (
-            getattr(server, "finish_shards", 0) >= 1
-            or getattr(server, "finish_predict", False)
-        )
-        if wants_spool and api_session is None:
+        if getattr(server, "finish_predict", False) and api_session is None:
             import tempfile
 
             self._spool = tempfile.NamedTemporaryFile(
@@ -263,12 +258,17 @@ class ServiceSession:
         """Everything before FINISH has been analysed: ship the report."""
         if consumed_before:
             self._grant_credits(consumed_before)
-        self.finished = True
         # End-of-stream pass: a no-op for the legacy tiers; a session
         # running the "predictive" profile emits its predictions here.
-        self.api.finalize()
-        payload = streaming_payload = self.api.report_text().encode("utf-8")
-        if getattr(self.server, "finish_predict", False) and self._spool is not None:
+        # A stream that ends inside a record is damaged, not finished.
+        try:
+            self.api.finalize()
+        except TraceFormatError as exc:
+            self._fail(f"{type(exc).__name__}: {exc}")
+            return
+        self.finished = True
+        payload = self.api.report_text().encode("utf-8")
+        if self._spool is not None:
             # Before the send: the whole point is a report that carries
             # the predicted findings (opt-in; adds replay latency).
             payload = self._finish_predict(payload)
@@ -291,16 +291,7 @@ class ServiceSession:
                     protocol.send_frame(conn, protocol.REPORT, payload)
             except OSError:
                 self.conn = None
-        if self._spool is not None:
-            if getattr(self.server, "finish_shards", 0) >= 1:
-                # After the client has its report — the verification
-                # pass must never add to report latency.  It compares
-                # against the *streaming* bytes: the predictive
-                # post-pass (if any) appended findings the sharded
-                # re-analysis of a legacy config would not produce.
-                self._verify_sharded(streaming_payload)
-            else:
-                self._drop_spool()
+        self._drop_spool()
         self.server.release(self, drop_checkpoint=True)
 
     def _fail(self, message: str) -> None:
@@ -338,7 +329,7 @@ class ServiceSession:
         self.server.release(self, drop_checkpoint=False)
 
     # ------------------------------------------------------------------
-    # FINISH-time sharded re-analysis (opt-in offline post-pass)
+    # FINISH-time predictive post-pass (opt-in offline replay)
     # ------------------------------------------------------------------
 
     def _drop_spool(self) -> None:
@@ -418,59 +409,6 @@ class ServiceSession:
                 predicted=appended, trace=self.trace_id,
             )
         return payload
-
-    def _verify_sharded(self, payload: bytes) -> None:
-        """Replay the spooled trace sharded; byte-compare the reports.
-
-        The paper's offline tier as a self-check: the streaming report
-        and an N-process page-sharded replay of the same bytes must be
-        byte-identical.  Outcome lands in
-        ``repro_service_shard_verify_total{result=...}`` and the
-        structured log; a mismatch is an analysis bug, not a client
-        error, so the session itself is unaffected.
-        """
-        spool, self._spool = self._spool, None
-        import os
-
-        try:
-            spool.flush()
-            from repro.detectors.parallel import replay_trace_sharded
-
-            result = replay_trace_sharded(
-                spool.name, self.config, shards=self.server.finish_shards
-            )
-            import json as _json
-
-            sharded = _json.dumps(result.report.to_dict(), indent=2)
-            outcome = (
-                "match" if sharded.encode("utf-8") == payload else "mismatch"
-            )
-        except Exception as exc:  # never let the post-pass kill a worker
-            outcome = "error"
-            self.server.log.error(
-                "shard_verify_error", session=self.session_id,
-                error=f"{type(exc).__name__}: {exc}", trace=self.trace_id,
-            )
-        finally:
-            try:
-                spool.close()
-                os.unlink(spool.name)
-            except OSError:
-                pass
-        with self.server.registry_lock:
-            self.server.registry.counter(
-                "repro_service_shard_verify_total",
-                {"result": outcome},
-                help="FINISH-time sharded re-analysis outcomes",
-            ).inc()
-        log = (
-            self.server.log.info if outcome == "match" else self.server.log.error
-        )
-        if outcome != "error":
-            log(
-                "shard_verify", session=self.session_id, result=outcome,
-                shards=self.server.finish_shards, trace=self.trace_id,
-            )
 
     # ------------------------------------------------------------------
 

@@ -252,7 +252,6 @@ class ShardedAnalysisServer:
         checkpoint_dir: str | None = None,
         checkpoint_every: int = 0,
         throttle: float = 0.0,
-        finish_shards: int = 0,
         finish_predict: bool = False,
         registry: MetricsRegistry | None = None,
         replicas: int = DEFAULT_REPLICAS,
@@ -273,9 +272,6 @@ class ShardedAnalysisServer:
         self.checkpoint_dir = checkpoint_dir
         self.checkpoint_every = checkpoint_every
         self.throttle = throttle
-        #: Forwarded to every worker process: FINISH-time sharded
-        #: re-analysis fan-out (0 = off).
-        self.finish_shards = finish_shards
         #: Forwarded to every worker process: FINISH-time predictive
         #: post-pass (replay the session spool under the ``predictive``
         #: profile and append predicted findings to the report).
@@ -454,8 +450,6 @@ class ShardedAnalysisServer:
             cmd += ["--checkpoint-every", str(self.checkpoint_every)]
         if self.throttle:
             cmd += ["--throttle", str(self.throttle)]
-        if self.finish_shards:
-            cmd += ["--finish-shards", str(self.finish_shards)]
         if self.finish_predict:
             cmd += ["--finish-predict"]
         if self.log_file:
@@ -830,7 +824,6 @@ def worker_main(argv: list[str] | None = None) -> int:
     parser.add_argument("--checkpoint-dir", default=None)
     parser.add_argument("--checkpoint-every", type=int, default=0)
     parser.add_argument("--throttle", type=float, default=0.0)
-    parser.add_argument("--finish-shards", type=int, default=0)
     parser.add_argument("--finish-predict", action="store_true")
     parser.add_argument("--log-file", default=None)
     parser.add_argument("--log-level", default=None)
@@ -890,7 +883,6 @@ def worker_main(argv: list[str] | None = None) -> int:
         checkpoint_dir=args.checkpoint_dir,
         checkpoint_every=args.checkpoint_every,
         throttle=args.throttle,
-        finish_shards=args.finish_shards,
         finish_predict=args.finish_predict,
         worker_id=worker_id,
         logger=logger,

@@ -13,8 +13,8 @@ reconstructs the alternative schedule offline:
   reader exists — Eraser's EXCLUSIVE warm-up hides it live, the
   predictive pair analysis does not.
 
-Everything predicted must survive replay and sharded replay with
-byte-identical reports — predictions are part of the finalize()
+Everything predicted must survive offline replay with byte-identical
+reports — predictions are part of the finalize()
 contract, not a side channel.
 """
 
@@ -25,7 +25,6 @@ import json
 import pytest
 
 from repro.api.profiles import profile
-from repro.detectors.parallel import replay_trace_sharded
 from repro.detectors.report import WarningKind
 from repro.experiments.harness import run_proxy_case
 from repro.runtime.trace import TraceRecorder, replay_trace
@@ -134,9 +133,7 @@ class TestNoNewNoise:
 
 class TestReplayParity:
     @pytest.mark.parametrize("case_id", ("T9", "T10"))
-    def test_sequential_and_sharded_replay_byte_identical(
-        self, tmp_path, case_id
-    ):
+    def test_live_and_replay_byte_identical(self, tmp_path, case_id):
         live = profile("predictive").detector()
         path = tmp_path / f"{case_id}.rptr"
         with TraceRecorder(path, format="binary") as recorder:
@@ -149,10 +146,6 @@ class TestReplayParity:
         replay_trace(path, offline)
         offline.finalize()
         assert offline.report.render() == reference
-
-        result = replay_trace_sharded(path, "predictive", shards=3)
-        assert result.report.render() == reference
-        assert result.skeleton_consistent
 
     def test_report_json_round_trip(self, predictive_runs):
         from repro.detectors.report import validate_report_json

@@ -403,43 +403,29 @@ def test_replay_blocks_no_subscribers_counts_only():
     assert count == len(_ONE_OF_EACH)
 
 
-# ----------------------------------------------------------------------
-# Page histogram (the shard-balance predictor behind `trace stat`)
-# ----------------------------------------------------------------------
-
-
-def test_page_histogram_counts_pages_and_skew():
-    page = 1 << codec.DEFAULT_PAGE_BITS
-    events = (
-        # 6 accesses on page 0, 2 on page 3 — skew = 6 / mean(4) = 1.5.
-        [MemoryAccess(i, 0, i, AccessKind.READ, False, -1) for i in range(6)]
-        + [MemoryAccess(6, 0, 3 * page, AccessKind.WRITE, False, -1),
-           MemoryAccess(7, 1, 3 * page + 8, AccessKind.READ, False, -1)]
-        # Non-access events must not count.
-        + [LockAcquire(8, 0, 7, LockMode.WRITE, True)]
-    )
+def test_stats_count_type_skips():
+    """``ReplayStats`` tallies decoded blocks apart from blocks nobody
+    subscribes to, whose rows land in ``events_skipped``."""
+    events = [
+        MemoryAccess(0, 0, 0x10, AccessKind.READ, False, -1),
+        LockAcquire(1, 0, 7, LockMode.WRITE, False),
+    ]
     data, _ = _encode(events)
-    hist = codec.page_histogram(data)
-    assert hist["accesses"] == 8
-    assert hist["pages"] == 2
-    assert hist["top"] == [(0, 6), (3, 2)]
-    assert hist["skew"] == pytest.approx(1.5)
-
-    # `top` truncates but `pages`/`accesses` still cover everything.
-    assert codec.page_histogram(data, top=1)["top"] == [(0, 6)]
-
-
-def test_page_histogram_empty_and_invalid():
-    data, _ = _encode([])
-    hist = codec.page_histogram(data)
-    assert hist == {"accesses": 0, "pages": 0, "top": [], "skew": 0.0}
-    with pytest.raises(ValueError):
-        codec.page_histogram(b"nope")
+    table: list[tuple] = [() for _ in EVENT_TYPES]
+    table[EVENT_TYPES.index(MemoryAccess)] = ((lambda e, vm: None),)
+    stats = codec.ReplayStats()
+    codec.replay_blocks(data, table, None, stats=stats)
+    assert stats.as_dict() == {
+        "blocks_decoded": 1,
+        "blocks_skipped_type": 1,
+        "blocks_skipped_shard": 0,
+        "events_skipped": 1,  # the undecoded lock row
+    }
 
 
 def test_writer_block_rows_cap_bounds_block_size():
-    """`block_rows` caps rows per block so the page index stays
-    fine-grained even for single-type event streams."""
+    """`block_rows` caps rows per block, bounding a reader's buffer
+    even for single-type event streams."""
     events = [
         MemoryAccess(i, 0, i, AccessKind.READ, False, -1) for i in range(10)
     ]

@@ -20,6 +20,7 @@ nothing leaks between tests.
 from __future__ import annotations
 
 import json
+import os
 import threading
 import time
 
@@ -148,6 +149,29 @@ class TestErrors:
         ) == 1
         # Both workers must still be alive and serving.
         path, reference = traces[("T1", "hwlc+dr")]
+        for _ in range(2):
+            assert fetch_report(
+                path, socket_path=unix_server.address
+            ) == reference
+
+    def test_truncated_stream_fails_session_not_server(
+        self, unix_server, traces
+    ):
+        """FINISH on a stream that stops inside a record must not report
+        whatever was decoded so far: ERROR frame and error metric, and
+        the workers keep serving."""
+        path, reference = traces[("T1", "hwlc+dr")]
+        data = path.read_bytes()
+        with AnalysisClient(socket_path=unix_server.address) as client:
+            client.hello("hwlc+dr")
+            client.send(data[: len(data) * 2 // 3])
+            with pytest.raises(ServiceError) as exc:
+                client.finish()
+        assert "TraceFormatError" in str(exc.value)
+        assert "stream ended inside a record" in str(exc.value)
+        assert sum(
+            _sample_values(unix_server, "repro_service_analysis_errors_total")
+        ) == 1
         for _ in range(2):
             assert fetch_report(
                 path, socket_path=unix_server.address
@@ -488,56 +512,61 @@ class TestCliClient:
         assert "record" in capsys.readouterr().out
 
 
-class TestFinishShards:
-    """Opt-in FINISH-time sharded re-analysis (``--finish-shards N``).
+class TestFinishPredict:
+    """Opt-in FINISH-time predictive post-pass (``--finish-predict``).
 
     The session spools every ingested chunk; at FINISH the server
-    replays the spool through the page-sharded parallel analyzer and
-    byte-compares the result against the report it just served.  The
-    outcome must land in ``repro_service_shard_verify_total``."""
+    replays the spool under the ``predictive`` profile and appends the
+    predicted findings to the report it serves."""
 
-    def _verify_totals(self, server):
-        with server.registry_lock:
-            family = server.registry.snapshot()["metrics"].get(
-                "repro_service_shard_verify_total"
-            )
-        if family is None:
-            return {}
-        return {
-            s["labels"]["result"]: s["value"] for s in family["samples"]
-        }
+    def _spools(self):
+        import glob
+        import tempfile
 
-    @pytest.mark.parametrize("finish_shards", (1, 2))
-    def test_verify_matches_served_report(
-        self, tmp_path, traces, finish_shards
-    ):
+        return set(
+            glob.glob(os.path.join(tempfile.gettempdir(), "repro-spool-*"))
+        )
+
+    def test_predictions_appended_to_legacy_report(self, tmp_path):
+        """A session under a legacy profile gets the predictive tier's
+        findings in its REPORT, and the spool is gone afterwards."""
+        from repro.experiments.harness import run_proxy_case
+        from repro.runtime.trace import TraceRecorder
+        from repro.sip.workload import predictive_cases
+
+        case = next(c for c in predictive_cases() if c.case_id == "T9")
+        path = tmp_path / "t9.rptr"
+        with TraceRecorder(path, format="binary") as recorder:
+            run_proxy_case(case, "hwlc+dr", seed=42, extra_hooks=(recorder,))
+        before = self._spools()
         server = AnalysisServer(
             socket_path=str(tmp_path / "repro.sock"),
             workers=1,
-            finish_shards=finish_shards,
+            finish_predict=True,
         )
         server.start()
         try:
-            path, reference = traces[("T1", "hwlc+dr")]
             got = fetch_report(path, "hwlc+dr", socket_path=server.address)
-            assert got == reference
         finally:
-            # Drain: release happens after the verify pass, so after
-            # shutdown the counter is final.
             server.shutdown(drain=True, timeout=30.0)
-        assert self._verify_totals(server) == {"match": 1.0}
+        assert b'"predicted-deadlock"' in got
+        assert _sample_values(
+            server, "repro_service_predict_finish_total"
+        ) == [1.0]
+        assert self._spools() <= before
 
     def test_detached_session_drops_spool(self, tmp_path, traces):
         """A client that vanishes mid-stream must not leave the spool
-        behind or trigger a verification pass."""
+        behind or trigger the post-pass."""
         import socket as socket_mod
 
         from repro.service import protocol
 
+        before = self._spools()
         server = AnalysisServer(
             socket_path=str(tmp_path / "repro.sock"),
             workers=1,
-            finish_shards=1,
+            finish_predict=True,
         )
         server.start()
         try:
@@ -555,4 +584,5 @@ class TestFinishShards:
                 conn.close()  # vanish without FINISH
         finally:
             server.shutdown(drain=True, timeout=30.0)
-        assert self._verify_totals(server) == {}
+        assert _family(server, "repro_service_predict_finish_total") is None
+        assert self._spools() <= before

@@ -274,14 +274,25 @@ class TestShutdownOrder:
         out from under it afterwards."""
         path, reference = traces[("T1", "hwlc+dr")]
         sock_path = str(tmp_path / "same.sock")
-        old = AnalysisServer(
-            socket_path=sock_path, workers=1,
-            queue_blocks=2, throttle=0.05,
-        )
+        old = AnalysisServer(socket_path=sock_path, workers=1, queue_blocks=2)
         old.start()
         client = AnalysisClient(socket_path=sock_path, chunk_bytes=2048)
         client.hello("hwlc+dr")
-        client.stream_file(path)  # queued work makes the drain slow
+        # Hold the old session's analysis until the new server is bound:
+        # its queued chunks keep the drain running for as long as the
+        # test needs, whatever the host's speed.
+        release = threading.Event()
+        (session,) = old._sessions.values()
+        feed = session.api.feed
+
+        def held_feed(chunk):
+            release.wait(30)
+            return feed(chunk)
+
+        session.api.feed = held_feed
+        data = path.read_bytes()
+        for i in range(2):  # spends the two credits without waiting
+            client.send(data[i * 2048:(i + 1) * 2048])
 
         drainer = threading.Thread(
             target=lambda: old.shutdown(drain=True, timeout=30.0)
@@ -295,6 +306,7 @@ class TestShutdownOrder:
             new = AnalysisServer(socket_path=sock_path, workers=1)
             new.start()
             try:
+                release.set()
                 drainer.join(timeout=30)
                 assert not drainer.is_alive()
                 # The old drain must not have unlinked the new socket.
@@ -304,6 +316,7 @@ class TestShutdownOrder:
             finally:
                 new.shutdown(drain=True, timeout=10.0)
         finally:
+            release.set()
             client.close()
             drainer.join(timeout=30)
 

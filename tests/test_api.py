@@ -6,10 +6,6 @@ callers) build on:
 * ``repro.api.profiles`` is the registry every configuration name
   routes through — look-ups validate, enumeration is sorted, and the
   ``predictive`` tier builds a different detector class;
-* the legacy ``detector_config``/``detector_configs`` names and the old
-  private ``harness._detector_config`` still work but warn exactly once
-  per process (this file runs under ``-W error::DeprecationWarning`` in
-  CI, so every unmanaged warning is a hard failure);
 * the structured ``Report`` renders the canonical byte-identity text
   and a schema-valid machine twin;
 * a ``Session`` fed a recorded trace — in one gulp or arbitrary
@@ -23,12 +19,10 @@ from __future__ import annotations
 
 import json
 import random
-import warnings
 
 import pytest
 
 import repro
-import repro.api as api_module
 from repro.api import Pipeline, Session
 from repro.api.profiles import (
     AnalysisProfile,
@@ -119,51 +113,6 @@ class TestProfiles:
         cfg = dataclasses.replace(prof.config(), transition_cache=False)
         det = prof.detector(cfg)
         assert det.config is cfg
-
-
-class TestDeprecatedShims:
-    def test_api_shim_warns_exactly_once(self):
-        api_module._DETECTOR_CONFIG_WARNED = False
-        try:
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                names = api_module.detector_configs()
-                cfg = api_module.detector_config("hwlc+dr")
-        finally:
-            api_module._DETECTOR_CONFIG_WARNED = True
-        deprecations = [
-            w for w in caught if issubclass(w.category, DeprecationWarning)
-        ]
-        assert len(deprecations) == 1
-        assert "repro.api.profiles" in str(deprecations[0].message)
-        assert names == profile_names()
-        assert isinstance(cfg, HelgrindConfig)
-
-    def test_api_shim_validates_like_the_registry(self):
-        api_module._DETECTOR_CONFIG_WARNED = True  # silence, test lookup
-        with pytest.raises(ValueError) as exc:
-            api_module.detector_config("helgrind++")
-        for name in profile_names():
-            assert name in str(exc.value)
-
-    def test_harness_shim_warns_exactly_once(self):
-        from repro.experiments import harness
-
-        harness._DETECTOR_CONFIG_WARNED = False
-        try:
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                first = harness._detector_config("hwlc+dr")
-                second = harness._detector_config("original")
-        finally:
-            harness._DETECTOR_CONFIG_WARNED = True
-        deprecations = [
-            w for w in caught if issubclass(w.category, DeprecationWarning)
-        ]
-        assert len(deprecations) == 1
-        assert "repro.api" in str(deprecations[0].message)
-        assert isinstance(first, HelgrindConfig)
-        assert isinstance(second, HelgrindConfig)
 
 
 class TestReport:
@@ -387,12 +336,9 @@ class TestPackageExports:
     def test_root_reexports(self):
         assert repro.Session is Session
         assert repro.Pipeline is Pipeline
-        assert repro.detector_config is api_module.detector_config
-        assert repro.detector_configs is api_module.detector_configs
         assert repro.api.SNAPSHOT_VERSION == 1
 
     def test_all_names_resolve(self):
-        for name in ("Pipeline", "Session", "detector_config",
-                     "detector_configs", "api"):
+        for name in ("Pipeline", "Session", "api"):
             assert name in repro.__all__
             assert getattr(repro, name) is not None

@@ -196,30 +196,20 @@ class TestCli:
         )
         assert body.rstrip("\n") == plain.rstrip("\n")
 
-    def test_trace_replay_shards_auto(self, tmp_path, capsys):
-        """``--shards auto`` prints its decision and the report stays
-        byte-identical to the live run whatever count it picks (on a
-        single-core host that is 1 — the fork+merge overhead rule)."""
+    def test_trace_replay_truncated_trace_is_one_line_error(
+        self, tmp_path, capsys
+    ):
+        """A damaged trace ends in one ``repro: error:`` line and exit
+        status 2, not a traceback."""
         trace = tmp_path / "t1.rptr"
-        live = tmp_path / "live.json"
-        assert main([
-            "trace", "record", "T1", "hwlc+dr",
-            "-o", str(trace), "--report-out", str(live),
-        ]) == 0
+        assert main(["trace", "record", "T1", "-o", str(trace)]) == 0
         capsys.readouterr()
-
-        replayed = tmp_path / "auto.json"
-        assert main([
-            "trace", "replay", str(trace), "hwlc+dr",
-            "--shards", "auto", "--report-out", str(replayed),
-        ]) == 0
-        out = capsys.readouterr().out
-        assert "shards auto:" in out  # the decision is always logged
-        assert replayed.read_bytes() == live.read_bytes()
-
-    def test_trace_replay_shards_rejects_garbage(self, capsys):
-        with pytest.raises(SystemExit):
-            main(["trace", "replay", "x.rptr", "--shards", "many"])
+        cut = tmp_path / "cut.rptr"
+        cut.write_bytes(trace.read_bytes()[:-1])
+        assert main(["trace", "replay", str(cut)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro: error: corrupt trace: incomplete record")
+        assert err.count("\n") == 1
 
     def test_trace_replay_no_transition_cache(self, tmp_path, capsys):
         """The escape hatch replays per-event (no memo, no batching) and

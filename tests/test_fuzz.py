@@ -7,13 +7,18 @@ error type — no matter what bytes arrive.
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.errors import LexError, ParseError, SipParseError
+from repro.api import Session
+from repro.api.profiles import profile
+from repro.errors import LexError, ParseError, SipParseError, TraceFormatError
 from repro.instrument.lexer import tokenize
 from repro.instrument.parser import parse
 from repro.instrument.preprocess import preprocess
 from repro.errors import InstrumentError
+from repro.runtime import codec
+from repro.runtime.trace import ReplayVM, TraceRecorder, build_handler_table
 from repro.sip.message import Header, SipMessage
 from repro.sip.parser import parse_message, serialize_message
 
@@ -140,3 +145,65 @@ class TestMiniCxxFuzz:
         text1 = render_module(module)
         text2 = render_module(parse(text1))
         assert text1 == text2
+
+
+@pytest.fixture(scope="module")
+def t1_cuts(tmp_path_factory):
+    """T1 recorded under hwlc+dr: ``(trace bytes, record ends)``.
+
+    The record ends are where a byte-at-a-time stream decoder's
+    consumed count settles — every offset at which a cut leaves only
+    whole records.
+    """
+    from repro.experiments.harness import run_proxy_case
+    from repro.sip.workload import evaluation_cases
+
+    case = next(c for c in evaluation_cases() if c.case_id == "T1")
+    path = tmp_path_factory.mktemp("fuzz") / "T1.rptr"
+    with TraceRecorder(path, format="binary") as recorder:
+        run_proxy_case(case, "hwlc+dr", seed=42, extra_hooks=(recorder,))
+    data = path.read_bytes()
+    decoder = codec.StreamDecoder()
+    ends = set()
+    for i in range(len(data)):
+        decoder.feed(data[i:i + 1])
+        ends.add(decoder.bytes_consumed)
+    return data, {end for end in ends if end >= len(codec.MAGIC)}
+
+
+class TestTraceTruncationFuzz:
+    """A trace cut short must end in :class:`TraceFormatError` — never
+    an ``IndexError``, a ``struct.error`` or a silently shorter report.
+    A cut that falls exactly on a record boundary leaves a well-formed
+    shorter trace, which only an end trailer could tell apart."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_replay_of_a_cut_trace(self, t1_cuts, draw):
+        data, ends = t1_cuts
+        cut = draw.draw(st.integers(1, len(data) - 1), label="cut")
+        vm = ReplayVM()
+        table = build_handler_table((vm, profile("hwlc+dr").detector()))
+        try:
+            codec.replay_blocks(data[:cut], table, vm)
+        except TraceFormatError:
+            assert cut not in ends
+        else:
+            assert cut in ends
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_session_finish_of_a_cut_stream(self, t1_cuts, draw):
+        data, ends = t1_cuts
+        cut = draw.draw(st.integers(1, len(data) - 1), label="cut")
+        chunk = draw.draw(st.integers(1, 4096), label="chunk")
+        session = Session("hwlc+dr")
+        for start in range(0, cut, chunk):
+            session.feed(data[start:min(start + chunk, cut)])
+        try:
+            session.finalize()
+        except TraceFormatError:
+            assert cut not in ends
+        else:
+            assert cut in ends
+
