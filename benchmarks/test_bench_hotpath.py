@@ -4,8 +4,11 @@ The layer-6 claim (docs/PERFORMANCE.md): once the SHARED/SHARED-MOD
 transition is memoized on `(packed-low, is_write, held-lockset-id)`,
 the dominant per-access cost collapses to a dict probe — and offline
 replay can go further, feeding whole decoded ``MemoryAccess`` blocks
-to `HelgrindDetector.bulk_access` (inline EXCLUSIVE fast path, memo
-probe, intra-block run-length elision, zero event objects).
+to `HelgrindDetector.bulk_access`, which runs the detector's one row
+kernel (same-access elision, effective-id table lookup, memoized
+``access_check``) over the struct tuples with no per-event objects.
+Cache-off is the reference arm: ``transition_cache=False``, no memo,
+no elision, one event at a time.
 
 Two measurements, both single-core by design (this optimisation is
 about making ONE analysis thread fly; sharding is layer 5's job):
@@ -14,8 +17,8 @@ about making ONE analysis thread fly; sharding is layer 5's job):
   the acceptance number, asserted >= 1.25x;
 * **live VM analysis** of ``workload_guest`` (4 threads, so the
   shared counters actually reach SHARED state and exercise the memo)
-  — reported for context; the live path keeps per-event dispatch, so
-  its gain is the memo + same-access filter only.
+  — reported for context; the live path hands the kernel one row per
+  event, so its gain is the memo + same-access filter only.
 
 Methodology is BENCH_shadowmem.json's: cache-off and cache-on runs
 are **interleaved** round-by-round so warm-up and machine drift hit

@@ -45,8 +45,9 @@ class AnalysisProfile:
 
     ``detector_factory`` takes ``(config, *, suppressions=None)`` so a
     caller holding a hand-modified copy of the profile's config (e.g.
-    the ``--no-transition-cache`` escape hatch) can still build the
-    profile's detector class around it.
+    ``transition_cache=False``, the uncached per-event reference arm
+    of tests and the hot-path benchmark) can still build the profile's
+    detector class around it.
     """
 
     #: Public name — CLI choices and service HELLOs validate against it.

@@ -42,13 +42,6 @@ def main(argv: list[str] | None = None) -> int:
     if args.command is None:
         parser.print_help()
         return 2
-    if getattr(args, "no_transition_cache", False):
-        # Process-wide escape hatch (docs/PERFORMANCE.md layer 6): every
-        # detector built after this point — including in forked workers —
-        # runs the unmemoized, unelided, unbatched vanilla path.
-        from repro.detectors.lockset import set_transition_cache_default
-
-        set_transition_cache_default(False)
     from repro.errors import ReproError
 
     try:
@@ -104,7 +97,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="worker processes for the 24 independent cells (1 = sequential)",
     )
     _add_telemetry_flags(p)
-    _add_cache_flag(p)
     p.set_defaults(handler=_cmd_figure6)
 
     p = sub.add_parser("case", help="run one test case under one configuration")
@@ -153,7 +145,6 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     _add_telemetry_flags(p)
-    _add_cache_flag(p)
     p.set_defaults(handler=_cmd_report)
 
     p = sub.add_parser("suppress", help="triage a case and emit suppressions")
@@ -209,7 +200,6 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="PATH",
         help="save the offline report (byte-identical to the live one)",
     )
-    _add_cache_flag(tp)
     tp.set_defaults(handler=_cmd_trace_replay)
 
     tp = trace_sub.add_parser("stat", help="summarise a trace file")
@@ -338,7 +328,6 @@ def _build_parser() -> argparse.ArgumentParser:
             "session's report (default: off)"
         ),
     )
-    _add_cache_flag(p)
     p.set_defaults(handler=_cmd_serve)
 
     p = sub.add_parser(
@@ -448,19 +437,6 @@ _STATS_DETECTORS = (
     "hybrid",
     "atomizer",
 )
-
-
-def _add_cache_flag(p) -> None:
-    p.add_argument(
-        "--no-transition-cache",
-        action="store_true",
-        help=(
-            "disable the memoized shadow-transition cache (and the "
-            "same-access elision + batched replay built on it); the "
-            "escape hatch for A/B-ing the vanilla per-event path — "
-            "reports are byte-identical either way"
-        ),
-    )
 
 
 def _add_telemetry_flags(p) -> None:

@@ -53,7 +53,6 @@ from repro.runtime.events import (
     ThreadJoin,
 )
 from repro._util.intervals import IntervalSet
-from repro.detectors.lockset import transition_cache_default
 
 __all__ = ["DjitDetector"]
 
@@ -88,7 +87,7 @@ class DjitDetector(EventDispatcher):
         *,
         cond_hb: bool = True,
         atomic_aware: bool = True,
-        elide: bool | None = None,
+        elide: bool = True,
     ) -> None:
         self.report = Report()
         self.cond_hb = cond_hb
@@ -115,15 +114,11 @@ class DjitDetector(EventDispatcher):
         #: entry from the same vector clock, so it is a no-op — but only
         #: while the filter always holds the *immediately preceding*
         #: log-touching access (every sync/lifecycle handler clears it;
-        #: every non-warning access re-arms it with itself).  ``elide``
-        #: follows the process-wide transition-cache default, so the
-        #: ``--no-transition-cache`` escape hatch restores the fully
-        #: vanilla per-event path here too.
+        #: every non-warning access re-arms it with itself).
+        #: ``elide=False`` is the unfiltered reference path.
         self._last_access: tuple | None = None
         self._elided = 0
-        self._elide_ok = (
-            elide if elide is not None else transition_cache_default()
-        )
+        self._elide_ok = elide
 
     # ------------------------------------------------------------------
 

@@ -48,25 +48,7 @@ from repro.detectors.lockset import (
     EMPTY_ID,
     LOCKSETS,
     LocksetMachine,
-    LocksetOutcome,
     WordState,
-    transition_cache_default,
-)
-from repro.detectors.lockset import (  # the batched pump inlines the machine
-    _EXCLUSIVE,
-    _KEEP_OWNER,
-    _LOW,
-    _LS_BITS,
-    _LS_MASK,
-    _LS_SHIFT,
-    _OWNER_SHIFT,
-    _PAGE_BITS,
-    _PAGE_MASK,
-    _RACY,
-    _SHARED,
-    _SHARED_MOD,
-    _ST_MASK,
-    _STATE_OF_CODE,
 )
 from repro.detectors.report import Report, Warning_, WarningKind
 from repro.detectors.segments import SegmentGraph
@@ -95,6 +77,8 @@ __all__ = ["BusLockModel", "HelgrindConfig", "HelgrindDetector", "BUS_LOCK_ID"]
 
 #: Reserved lock id for the virtual hardware bus lock.
 BUS_LOCK_ID = -1
+
+_WRITE = AccessKind.WRITE
 
 
 class BusLockModel(enum.Enum):
@@ -139,11 +123,11 @@ class HelgrindConfig:
     #: Costs one stack reference per shadow word; off by default.
     access_history: bool = False
     #: Memoized shadow-transition cache + redundant-access elision +
-    #: batched block replay (docs/PERFORMANCE.md layer 6).  ``None`` =
-    #: follow the process default (the ``--no-transition-cache`` escape
-    #: hatch); ``True``/``False`` force it for this detector.  Reports
-    #: are byte-identical either way — the flag exists to *prove* that.
-    transition_cache: bool | None = None
+    #: batched block replay (docs/PERFORMANCE.md layer 6).  Reports are
+    #: byte-identical either way; ``False`` is the uncached, per-event
+    #: reference arm that tests and the hot-path benchmark compare
+    #: against.
+    transition_cache: bool = True
 
     # -- the paper's three evaluation configurations -------------------
 
@@ -194,36 +178,43 @@ class HelgrindConfig:
 
 
 class _HeldLocks:
-    """Per-thread lock holdings with precomputed effective set variants.
+    """Per-thread lock holdings and the thread's effective-id table.
 
-    The canonical representation is four interned
-    :data:`~repro.detectors.lockset.LOCKSETS` ids (``*_id``) that the
-    hot path hands straight to the state machine — comparing and
-    intersecting small ints instead of sets (Eraser's own optimisation).
-    Lock acquire/release walks the ids forward through the table's
-    memoized :meth:`~repro.detectors.lockset.LocksetTable.with_lock` /
-    ``without_lock`` operations (steady state: a few dict hits, no set
-    is ever built), so the per *memory access* path (hot) is
-    allocation-free and the per *lock* path (rare) nearly so.  The
-    frozenset views (``any_``, ``write``, ...) materialise on demand
-    for report rendering and off-path callers.
+    ``any_id`` / ``write_id`` are interned
+    :data:`~repro.detectors.lockset.LOCKSETS` ids of the locks held in
+    any mode and in a writing mode.  Lock acquire/release walks them
+    forward through the table's memoized
+    :meth:`~repro.detectors.lockset.LocksetTable.with_lock` /
+    ``without_lock`` operations and then rebuilds :attr:`eff`, so the
+    per *memory access* path is one tuple index and the per *lock*
+    path (rare) a few dict hits.
+
+    ``eff[(is_write << 1) | bus_locked]`` is the ``(any_id, write_id)``
+    pair an access of that shape hands to the lock-set machine: the
+    HWLC rule (§3.1, §4.2.2) lives here and nowhere else.
     """
 
-    __slots__ = (
-        "modes",
-        "any_id",
-        "write_id",
-        "any_bus_id",
-        "write_bus_id",
-    )
+    __slots__ = ("modes", "any_id", "write_id", "model", "eff")
 
-    def __init__(self) -> None:
+    def __init__(self, model: BusLockModel) -> None:
         self.modes: dict[int, LockMode] = {}
         self.any_id = EMPTY_ID
         self.write_id = EMPTY_ID
-        bus_only = LOCKSETS.with_lock(EMPTY_ID, BUS_LOCK_ID)
-        self.any_bus_id = bus_only
-        self.write_bus_id = bus_only
+        self.model = model
+        self._rebuild()
+
+    def _rebuild(self) -> None:
+        """Inject the virtual bus lock according to the bus-lock model."""
+        plain = (self.any_id, self.write_id)
+        locked = (  # LOCK prefix: the bus lock in write mode
+            LOCKSETS.with_lock(self.any_id, BUS_LOCK_ID),
+            LOCKSETS.with_lock(self.write_id, BUS_LOCK_ID),
+        )
+        if self.model is BusLockModel.RWLOCK:
+            read = (locked[0], self.write_id)  # every plain read: read mode
+        else:
+            read = plain  # original Helgrind: held only under LOCK
+        self.eff = (read, locked, plain, locked)
 
     def acquire(self, lock_id: int, mode: LockMode) -> None:
         prev = self.modes.get(lock_id)
@@ -235,52 +226,33 @@ class _HeldLocks:
         elif prev is not None:
             # Re-acquired in a weaker mode: drop any write-set membership.
             self.write_id = table.without_lock(self.write_id, lock_id)
-        self.any_bus_id = table.with_lock(self.any_id, BUS_LOCK_ID)
-        self.write_bus_id = table.with_lock(self.write_id, BUS_LOCK_ID)
+        self._rebuild()
 
     def release(self, lock_id: int) -> None:
         self.modes.pop(lock_id, None)
         table = LOCKSETS
         self.any_id = table.without_lock(self.any_id, lock_id)
         self.write_id = table.without_lock(self.write_id, lock_id)
-        self.any_bus_id = table.with_lock(self.any_id, BUS_LOCK_ID)
-        self.write_bus_id = table.with_lock(self.write_id, BUS_LOCK_ID)
+        self._rebuild()
 
     def __getstate__(self) -> dict:
-        """The ``*_id`` fields index the process-global
+        """The ids index the process-global
         :data:`~repro.detectors.lockset.LOCKSETS` table; pickle the
         member sets themselves and re-intern on restore so a checkpoint
         survives a server restart."""
         return {
             "modes": self.modes,
+            "model": self.model,
             "any": LOCKSETS.members(self.any_id),
             "write": LOCKSETS.members(self.write_id),
         }
 
     def __setstate__(self, state: dict) -> None:
         self.modes = state["modes"]
+        self.model = state["model"]
         self.any_id = LOCKSETS.id_of(state["any"])
         self.write_id = LOCKSETS.id_of(state["write"])
-        self.any_bus_id = LOCKSETS.with_lock(self.any_id, BUS_LOCK_ID)
-        self.write_bus_id = LOCKSETS.with_lock(self.write_id, BUS_LOCK_ID)
-
-    # Frozenset views (off the hot path: reports, tests, atomizer).
-
-    @property
-    def any_(self) -> frozenset[int]:
-        return LOCKSETS.members(self.any_id)
-
-    @property
-    def write(self) -> frozenset[int]:
-        return LOCKSETS.members(self.write_id)
-
-    @property
-    def any_bus(self) -> frozenset[int]:
-        return LOCKSETS.members(self.any_bus_id)
-
-    @property
-    def write_bus(self) -> frozenset[int]:
-        return LOCKSETS.members(self.write_bus_id)
+        self._rebuild()
 
 
 class _BulkEvent:
@@ -313,8 +285,6 @@ class HelgrindDetector(EventDispatcher):
     def __init__(self, config: HelgrindConfig | None = None, *, suppressions=None) -> None:
         self.config = config or HelgrindConfig.original()
         cache = self.config.transition_cache
-        if cache is None:
-            cache = transition_cache_default()
         self.segments = SegmentGraph()
         self.machine = LocksetMachine(
             self.segments,
@@ -337,24 +307,14 @@ class HelgrindDetector(EventDispatcher):
         #: lock names for report rendering (learned from events lazily).
         self._access_checks = 0
         #: Helgrind-style same-access elision: the one access the filter
-        #: would absorb, as ``(tid, addr, kind, bus_locked)``.  Armed
+        #: would absorb, as ``(tid, addr, is_write, bus_locked)``.  Armed
         #: only after a no-outcome access with no history/tracking side
         #: channels, and cleared by *every* non-access handler (locks,
         #: segments, alloc/free, client requests all invalidate the
         #: "identical immediate repeat is a no-op" proof).
         self._last_access: tuple | None = None
         self._elided = 0
-        self._elide_ok = (
-            cache and not self.config.access_history
-        )
-        # Bind the specialised access handler for the configured bus-lock
-        # model once (instance attribute wins the dispatch lookup), so
-        # the per-access path does not re-branch on configuration and
-        # pays one bound-method call instead of four.
-        if self.config.bus_lock_model is BusLockModel.RWLOCK:
-            self._on_access = self._on_access_rwlock
-        else:
-            self._on_access = self._on_access_mutex
+        self._elide_ok = cache and not self.config.access_history
 
     # ------------------------------------------------------------------
     # VM hook (dispatch-table ABI; BarrierWait intentionally has no
@@ -458,204 +418,32 @@ class HelgrindDetector(EventDispatcher):
     # Memory accesses (the hot path)
     # ------------------------------------------------------------------
 
-    @handles(MemoryAccess)
-    def _on_access(self, event: MemoryAccess, vm) -> None:
-        """Generic (reference) access handler.
+    def _access_rows(self, rows, ti: int, ai: int, ki: int, bi: int) -> list:
+        """The per-access rule, the one implementation every tier runs.
 
-        ``__init__`` shadows this with one of the specialised variants
-        below; this body stays as the readable specification and serves
-        any subclass or hand-built instance that removes the shadow.
-        """
-        if event.addr in self._benign:
-            return
-        self._access_checks += 1
-        held = self._held_for(event.tid)
-        any_id, write_id = self._effective_ids(held, event)
-        machine = self.machine
-        outcome = machine.access_check(
-            event.addr,
-            event.tid,
-            event.kind is AccessKind.WRITE,
-            any_id,
-            write_id,
-        )
-        if outcome is not None:
-            self._report_race(event, outcome, vm)
-        if machine.access_history:
-            word = machine.word(event.addr)
-            prev = word.last_access
-            if prev is not None and prev[0] != event.tid:
-                word.last_other = prev
-            word.last_access = (event.tid, event.is_write, event.stack)
-
-    def _on_access_rwlock(self, event: MemoryAccess, vm) -> None:
-        """RWLOCK-model hot path: :meth:`_on_access` with the benign
-        check, :meth:`_held_for` and :meth:`_effective_ids` inlined —
-        one bound-method call per access instead of four.  An access
-        identical to the immediately preceding one (same thread, word,
-        direction, bus prefix, nothing in between) is a state no-op and
-        is absorbed before the machine is entered."""
-        last = self._last_access
-        if (
-            last is not None
-            and last[1] == event.addr
-            and last[0] == event.tid
-            and last[2] is event.kind
-            and last[3] == event.bus_locked
-        ):
-            self._access_checks += 1
-            self._elided += 1
-            return
-        benign = self._benign
-        if benign and event.addr in benign:
-            return
-        self._access_checks += 1
-        held = self._held.get(event.tid)
-        if held is None:
-            held = _HeldLocks()
-            self._held[event.tid] = held
-        is_write = event.kind is AccessKind.WRITE
-        if event.bus_locked:
-            any_id = held.any_bus_id  # LOCK prefix: write mode
-            write_id = held.write_bus_id
-        elif is_write:
-            any_id = held.any_id  # plain write: not held
-            write_id = held.write_id
-        else:
-            any_id = held.any_bus_id  # every plain read: read mode
-            write_id = held.write_id
-        machine = self.machine
-        outcome = machine.access_check(
-            event.addr, event.tid, is_write, any_id, write_id
-        )
-        if outcome is not None:
-            self._report_race(event, outcome, vm)
-            self._last_access = None
-        elif self._elide_ok and machine.transition_counts is None:
-            self._last_access = (
-                event.tid, event.addr, event.kind, event.bus_locked
-            )
-        if machine.access_history:
-            word = machine.word(event.addr)
-            prev = word.last_access
-            if prev is not None and prev[0] != event.tid:
-                word.last_other = prev
-            word.last_access = (event.tid, is_write, event.stack)
-
-    def _on_access_mutex(self, event: MemoryAccess, vm) -> None:
-        """MUTEX-model (original Helgrind) hot path; see
-        :meth:`_on_access_rwlock`."""
-        last = self._last_access
-        if (
-            last is not None
-            and last[1] == event.addr
-            and last[0] == event.tid
-            and last[2] is event.kind
-            and last[3] == event.bus_locked
-        ):
-            self._access_checks += 1
-            self._elided += 1
-            return
-        benign = self._benign
-        if benign and event.addr in benign:
-            return
-        self._access_checks += 1
-        held = self._held.get(event.tid)
-        if held is None:
-            held = _HeldLocks()
-            self._held[event.tid] = held
-        if event.bus_locked:
-            any_id = held.any_bus_id
-            write_id = held.write_bus_id
-        else:
-            any_id = held.any_id
-            write_id = held.write_id
-        machine = self.machine
-        is_write = event.kind is AccessKind.WRITE
-        outcome = machine.access_check(
-            event.addr, event.tid, is_write, any_id, write_id
-        )
-        if outcome is not None:
-            self._report_race(event, outcome, vm)
-            self._last_access = None
-        elif self._elide_ok and machine.transition_counts is None:
-            self._last_access = (
-                event.tid, event.addr, event.kind, event.bus_locked
-            )
-        if machine.access_history:
-            word = machine.word(event.addr)
-            prev = word.last_access
-            if prev is not None and prev[0] != event.tid:
-                word.last_other = prev
-            word.last_access = (event.tid, is_write, event.stack)
-
-    # ------------------------------------------------------------------
-    # Batched block replay (docs/PERFORMANCE.md layer 6)
-    # ------------------------------------------------------------------
-
-    def bulk_access_ready(self) -> bool:
-        """May :func:`repro.runtime.codec.replay_blocks` hand whole
-        decoded ``MemoryAccess`` blocks to :meth:`bulk_access`?
-
-        Static gate, checked once when the dispatch table is built:
-        bulk replay inlines this exact class's access semantics, so a
-        subclass, a cache-disabled machine, the no-states ablation or
-        access-history mode all fall back to the per-event handlers.
+        ``rows`` yields tuples holding the thread, word address,
+        direction (``1``/``True`` = write) and ``LOCK`` prefix at
+        indexes ``ti``/``ai``/``ki``/``bi``.  Each row is absorbed if it
+        repeats the previous checked access with nothing in between
+        (same-access elision: a state no-op, still counted as a check),
+        skipped if it lies in a benign range, and otherwise stepped
+        through ``machine.access_check`` with the effective held-set
+        ids from the thread's :attr:`_HeldLocks.eff` table.  Returns
+        ``(index, row, outcome)`` for each racing row, in order.
         """
         machine = self.machine
-        return (
-            type(self) is HelgrindDetector
-            and machine.transition_cache
-            and machine.use_states
-            and not machine.access_history
-        )
-
-    def bulk_access(self, block, s, base, stacks, vm) -> bool:
-        """Analyse one decoded ``MemoryAccess`` block in a tight loop.
-
-        ``block`` is the raw row bytes, ``s`` the row struct, ``base``
-        the SEQ_STEP base (``None`` = rows carry their own step).
-        Returns ``False`` — caller must fall back to the per-event
-        loop — when dynamic state forbids batching (benign ranges
-        registered, transition tracking enabled mid-run).
-
-        The loop binds every table to a local and handles the steady
-        states inline: run-length elision of identical adjacent rows,
-        EXCLUSIVE hits by the current owner, RACY words, and memoized
-        SHARED/SHARED_MOD transitions.  Everything else (NEW, ownership
-        transfer, memo misses) takes the machine's normal
-        ``access_check``, so the state evolution is exactly the
-        sequential one.  Within one block there are no lock, segment or
-        client-request events (blocks are single-type), so per-thread
-        held-set ids and owner tokens are loop constants, cached by
-        ``(tid, kind, bus)`` / ``tid``.
-        """
-        machine = self.machine
-        memo = machine._memo
-        if memo is None or machine.transition_counts is not None or self._benign:
-            return False
-        pages = machine._pages
-        seg_ids = machine._seg_ids
-        segments = machine.segments
-        segment_transfer = machine.segment_transfer
-        access_check = machine.access_check
-        rwlock = self.config.bus_lock_model is BusLockModel.RWLOCK
+        check = machine.access_check
         held_map = self._held
-        report_race = self._report_race
-        ids_cache: dict[int, tuple[int, int]] = {}
-        owner_cache: dict[int, int] = {}
-        if base is None:
-            ti, si, ai, ki, bi = 1, 2, 3, 4, 5
-        else:
-            ti, si, ai, ki, bi = 0, 1, 2, 3, 4
-        # Run-length elision state: the previous row's key fields, armed
-        # only while the previous outcome was "no race, no side effect".
-        p_tid = p_addr = p_kind = p_bus = -1
-        armed = False
-        elided = 0
-        hits = 0
+        benign = self._benign or None  # IntervalSet truth is a __len__ call
+        elide = self._elide_ok and machine.transition_counts is None
+        last = self._last_access
+        armed = last is not None
+        if armed:
+            p_tid, p_addr, p_kind, p_bus = last
+        races = []
+        elided = skipped = 0
         i = -1
-        for row in s.iter_unpack(block):
+        for row in rows:
             i += 1
             tid = row[ti]
             addr = row[ai]
@@ -665,123 +453,90 @@ class HelgrindDetector(EventDispatcher):
                     and kind == p_kind and bus == p_bus:
                 elided += 1
                 continue
-            ik = (tid << 2) | (kind << 1) | bus
-            pair = ids_cache.get(ik)
-            if pair is None:
-                held = held_map.get(tid)
-                if held is None:
-                    held = _HeldLocks()
-                    held_map[tid] = held
-                if rwlock:
-                    if bus:
-                        pair = (held.any_bus_id, held.write_bus_id)
-                    elif kind:
-                        pair = (held.any_id, held.write_id)
-                    else:
-                        pair = (held.any_bus_id, held.write_id)
-                elif bus:
-                    pair = (held.any_bus_id, held.write_bus_id)
-                else:
-                    pair = (held.any_id, held.write_id)
-                ids_cache[ik] = pair
-            outcome = None
-            page = pages.get(addr >> _PAGE_BITS)
-            if page is None:
-                # Pristine page: let the machine materialise it.
-                outcome = access_check(addr, tid, kind == 1, pair[0], pair[1])
-            else:
-                slot = addr & _PAGE_MASK
-                packed = page[slot]
-                code = packed & _ST_MASK
-                if code == _EXCLUSIVE:
-                    owner = owner_cache.get(tid)
-                    if owner is None:
-                        if segment_transfer:
-                            owner = seg_ids.get(tid)
-                            if owner is None:
-                                owner = segments.current(tid).seg_id
-                        else:
-                            owner = tid
-                        owner_cache[tid] = owner
-                    if (packed >> _OWNER_SHIFT) - 1 != owner:
-                        outcome = access_check(
-                            addr, tid, kind == 1, pair[0], pair[1]
-                        )
-                elif code == _SHARED_MOD or code == _SHARED:
-                    held_id = pair[1] if kind else pair[0]
-                    low = packed & _LOW
-                    value = memo.get(
-                        (((low << 1) | (kind == 1)) << _LS_BITS) | held_id
-                    )
-                    if value is not None:
-                        hits += 1
-                        new_low = value >> 1
-                        if new_low != low:
-                            page[slot] = (packed & _KEEP_OWNER) | new_low
-                        if value & 1:
-                            outcome = LocksetOutcome(
-                                True,
-                                _STATE_OF_CODE[code],
-                                ((low >> _LS_SHIFT) & _LS_MASK) - 1,
-                                ((new_low >> _LS_SHIFT) & _LS_MASK) - 1,
-                            )
-                    else:
-                        outcome = access_check(
-                            addr, tid, kind == 1, pair[0], pair[1]
-                        )
-                elif code != _RACY:  # NEW on a materialised page
-                    outcome = access_check(
-                        addr, tid, kind == 1, pair[0], pair[1]
-                    )
-            if outcome is None:
+            if benign is not None and addr in benign:
+                skipped += 1
+                continue
+            held = held_map.get(tid)
+            if held is None:
+                held = self._held_for(tid)
+            any_id, write_id = held.eff[(kind << 1) | bus]
+            outcome = check(addr, tid, kind, any_id, write_id)
+            if outcome is not None:
+                armed = False
+                races.append((i, row, outcome))
+            elif elide:
                 p_tid = tid
                 p_addr = addr
                 p_kind = kind
                 p_bus = bus
                 armed = True
-                continue
-            armed = False
+        self._access_checks += i + 1 - skipped
+        self._elided += elided
+        self._last_access = (p_tid, p_addr, p_kind, p_bus) if armed else None
+        return races
+
+    @handles(MemoryAccess)
+    def _on_access(self, event: MemoryAccess, vm) -> None:
+        """One live (or per-event replayed) access: a one-row kernel call."""
+        races = self._access_rows(
+            ((event.tid, event.addr, event.kind is _WRITE, event.bus_locked),),
+            0, 1, 2, 3,
+        )
+        if races:
+            self._report_race(event, races[0][2], vm)
+        machine = self.machine
+        if machine.access_history and event.addr not in self._benign:
+            word = machine.word(event.addr)
+            prev = word.last_access
+            if prev is not None and prev[0] != event.tid:
+                word.last_other = prev
+            word.last_access = (event.tid, event.is_write, event.stack)
+
+    # ------------------------------------------------------------------
+    # Batched block replay (docs/PERFORMANCE.md layer 6)
+    # ------------------------------------------------------------------
+
+    def bulk_access_ready(self) -> bool:
+        """May :func:`repro.runtime.codec.replay_blocks` hand whole
+        decoded ``MemoryAccess`` blocks to :meth:`bulk_access`?
+
+        Static gate, checked once when the dispatch table is built.
+        Subclasses keep per-event handlers (they may extend
+        :meth:`_on_access`); access history updates each word after its
+        race is reported, which a block's deferred reporting would
+        reorder; and the uncached machine is the per-event reference
+        arm the batched path is measured against.
+        """
+        machine = self.machine
+        return (
+            type(self) is HelgrindDetector
+            and machine.transition_cache
+            and not machine.access_history
+        )
+
+    def bulk_access(self, block, s, base, stacks, vm) -> None:
+        """Analyse one decoded ``MemoryAccess`` block.
+
+        ``block`` is the raw row bytes, ``s`` the row struct, ``base``
+        the SEQ_STEP base (``None`` = rows carry their own step).  The
+        rows go through :meth:`_access_rows` as decoded tuples, with no
+        per-event object; only a racing row materialises a
+        :class:`_BulkEvent` for the report.
+        """
+        if base is None:
+            ti, si, ai, ki, bi = 1, 2, 3, 4, 5
+        else:
+            ti, si, ai, ki, bi = 0, 1, 2, 3, 4
+        for i, row, outcome in self._access_rows(
+            s.iter_unpack(block), ti, ai, ki, bi
+        ):
             ev = _BulkEvent()
             ev.step = row[0] if base is None else base + i
-            ev.tid = tid
+            ev.tid = row[ti]
             ev.stack = stacks[row[si]]
-            ev.addr = addr
-            ev.is_write = kind == 1
-            report_race(ev, outcome, vm)
-        self._access_checks += i + 1
-        self._elided += elided
-        machine._memo_hits += hits
-        self._last_access = None
-        return True
-
-    def _effective_sets(
-        self, held: _HeldLocks, event: MemoryAccess
-    ) -> tuple[frozenset[int], frozenset[int]]:
-        """Inject the virtual bus lock according to the configured model."""
-        model = self.config.bus_lock_model
-        if model is BusLockModel.MUTEX:
-            if event.bus_locked:
-                return held.any_bus, held.write_bus
-            return held.any_, held.write
-        # RWLOCK (the HWLC correction):
-        if event.bus_locked:
-            return held.any_bus, held.write_bus  # LOCK prefix: write mode
-        if not event.is_write:
-            return held.any_bus, held.write  # every plain read: read mode
-        return held.any_, held.write  # plain write: not held
-
-    def _effective_ids(self, held: _HeldLocks, event: MemoryAccess) -> tuple[int, int]:
-        """Interned-id twin of :meth:`_effective_sets` (the hot path)."""
-        if self.config.bus_lock_model is BusLockModel.MUTEX:
-            if event.bus_locked:
-                return held.any_bus_id, held.write_bus_id
-            return held.any_id, held.write_id
-        # RWLOCK (the HWLC correction):
-        if event.bus_locked:
-            return held.any_bus_id, held.write_bus_id  # LOCK prefix: write mode
-        if event.kind is not AccessKind.WRITE:
-            return held.any_bus_id, held.write_id  # every plain read: read mode
-        return held.any_id, held.write_id  # plain write: not held
+            ev.addr = row[ai]
+            ev.is_write = row[ki] == 1
+            self._report_race(ev, outcome, vm)
 
     def _report_race(self, event: MemoryAccess, outcome, vm) -> None:
         verb = "writing" if event.is_write else "reading"
@@ -844,7 +599,7 @@ class HelgrindDetector(EventDispatcher):
     def _held_for(self, tid: int) -> _HeldLocks:
         held = self._held.get(tid)
         if held is None:
-            held = _HeldLocks()
+            held = _HeldLocks(self.config.bus_lock_model)
             self._held[tid] = held
         return held
 
@@ -855,7 +610,7 @@ class HelgrindDetector(EventDispatcher):
 
     def locks_held(self, tid: int) -> frozenset[int]:
         """Current lock-set of ``tid`` (any mode) — for tests."""
-        return self._held_for(tid).any_
+        return LOCKSETS.members(self._held_for(tid).any_id)
 
     def finalize(self) -> None:
         """End-of-stream hook, idempotent.

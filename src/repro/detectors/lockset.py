@@ -66,8 +66,6 @@ __all__ = [
     "EMPTY_ID",
     "NO_LOCKSET",
     "PAGE_SIZE",
-    "set_transition_cache_default",
-    "transition_cache_default",
 ]
 
 
@@ -137,30 +135,6 @@ _ZERO_PAGE = [0] * _PAGE_SIZE
 #: is cleared wholesale (an *eviction* in the telemetry) rather than
 #: tracked per-entry.
 _MEMO_CAP = 65536
-
-#: Process default for :class:`LocksetMachine`'s ``transition_cache``
-#: (the ``--no-transition-cache`` escape hatch flips it before any
-#: detector is built; worker processes forked afterwards inherit it).
-_TRANSITION_CACHE_DEFAULT = True
-
-
-def set_transition_cache_default(enabled: bool) -> None:
-    """Flip the process-wide transition-cache default.
-
-    Detectors built afterwards (with ``transition_cache=None``) follow
-    it; the CLI's ``--no-transition-cache`` sets it before building
-    anything, so every machine in the run — including ones constructed
-    deep inside the harness or in forked worker processes — runs the
-    uncached reference path.
-    """
-    global _TRANSITION_CACHE_DEFAULT
-    _TRANSITION_CACHE_DEFAULT = bool(enabled)
-
-
-def transition_cache_default() -> bool:
-    """The current process-wide transition-cache default."""
-    return _TRANSITION_CACHE_DEFAULT
-
 
 class LocksetTable:
     """Interning of lock-sets as small integer ids (Eraser's "lockset
@@ -514,7 +488,7 @@ class LocksetMachine:
         use_states: bool = True,
         segment_transfer: bool = True,
         once_per_word: bool = True,
-        transition_cache: bool | None = None,
+        transition_cache: bool = True,
     ) -> None:
         self.segments = segments
         #: Direct reference to the graph's tid → seg_id mirror: the
@@ -550,8 +524,6 @@ class LocksetMachine:
         #: tracking is on (the telemetry layer's Figure-5-style matrix);
         #: ``None`` — and zero per-access cost — otherwise.
         self.transition_counts: dict[tuple[WordState, WordState], int] | None = None
-        if transition_cache is None:
-            transition_cache = _TRANSITION_CACHE_DEFAULT
         #: Memoized SHARED/SHARED_MOD transition function (see
         #: :meth:`access_check`).  ``None`` = caching disabled — the
         #: machine then runs the branch cascade verbatim.  The EXCLUSIVE

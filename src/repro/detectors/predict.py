@@ -149,11 +149,6 @@ class PredictiveDetector(HelgrindDetector):
         self._stat_predictions = 0
         self._stat_feasibility_rejections = 0
         self._vm = None
-        # Chain the prediction recorder in front of whichever
-        # specialised access handler the base class bound (instance
-        # attribute wins the dispatch-table lookup, same trick).
-        self._base_on_access = self._on_access
-        self._on_access = self._on_access_predicting
 
     # ------------------------------------------------------------------
     # Cross-thread lock-set bookkeeping
@@ -345,10 +340,10 @@ class PredictiveDetector(HelgrindDetector):
     # The access path
     # ------------------------------------------------------------------
 
-    def _on_access_predicting(self, event: MemoryAccess, vm) -> None:
+    def _on_access(self, event: MemoryAccess, vm) -> None:
         """Base hot path plus the prediction record (one dict probe per
         access in the steady state: the dedup key usually exists)."""
-        self._base_on_access(event, vm)
+        super()._on_access(event, vm)
         addr = event.addr
         if self._benign and addr in self._benign:
             return

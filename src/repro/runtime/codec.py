@@ -870,11 +870,12 @@ def _block_consumer(
                     single(seq_fill(stacks, strings, row, base), vm)
                 return
             block = view[at:at + s.size * n]
-            if bulk is None or not bulk(block, s, base, stacks, vm):
-                if base is None:
-                    loops[0](block, s, stacks, strings, single, vm, 0)
-                else:
-                    loops[1](block, s, stacks, strings, single, vm, base)
+            if bulk is not None:
+                bulk(block, s, base, stacks, vm)
+            elif base is None:
+                loops[0](block, s, stacks, strings, single, vm, 0)
+            else:
+                loops[1](block, s, stacks, strings, single, vm, base)
         elif fns:
             block = view[at:at + s.size * n]
             if base is None:

@@ -33,7 +33,9 @@ the rewritten HELLO, so acceptor- and worker-side log records and
 Chrome trace spans for the same session share the id across both the
 SCM_RIGHTS handover and the REDIRECT re-dial; ``repro trace merge``
 correlates on it).  The server echoes the id back as ``"trace"`` in
-WELCOME.  Unknown HELLO keys are ignored.
+WELCOME.  Unknown HELLO keys are ignored; ``config``, ``session``,
+``assign`` and ``trace`` must be strings when present
+(:func:`decode_hello`), else the reply is ERROR.
 
 Backpressure contract: ``WELCOME.credits`` is the session's queue bound
 N.  A client must not send a DATA frame without holding a credit; the
@@ -53,6 +55,7 @@ __all__ = [
     "FrameReader",
     "MAX_FRAME",
     "ProtocolError",
+    "decode_hello",
     "decode_json",
     "frame_name",
     "send_frame",
@@ -173,3 +176,21 @@ def decode_json(payload: bytes) -> dict:
     if not isinstance(obj, dict):
         raise ProtocolError("control payload must be a JSON object")
     return obj
+
+
+#: HELLO keys that must hold a string when present.
+_HELLO_STRINGS = ("config", "session", "assign", "trace")
+
+
+def decode_hello(payload: bytes) -> dict:
+    """Parse a HELLO body and check its field types.
+
+    Every server reads HELLO through here, so a wrong-typed id or
+    profile name ends in :class:`ProtocolError` (an ERROR frame), never
+    in a ``TypeError`` from whatever first uses the value.
+    """
+    hello = decode_json(payload)
+    for key in _HELLO_STRINGS:
+        if key in hello and not isinstance(hello[key], str):
+            raise ProtocolError(f"HELLO field {key!r} must be a string")
+    return hello

@@ -473,7 +473,9 @@ class AnalysisServer:
                 elif ftype == protocol.HELLO:
                     if session is not None:
                         raise protocol.ProtocolError("duplicate HELLO")
-                    session = self._open_session(conn, protocol.decode_json(payload))
+                    session = self._open_session(
+                        conn, protocol.decode_hello(payload)
+                    )
                     with session.send_lock:
                         protocol.send_json(
                             conn, protocol.WELCOME, session.welcome_payload()

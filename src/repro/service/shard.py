@@ -592,7 +592,7 @@ class ShardedAnalysisServer:
                         self.stats_payload(per_worker=per_worker),
                     )
                 elif ftype == protocol.HELLO:
-                    self._route(conn, protocol.decode_json(payload), reader)
+                    self._route(conn, protocol.decode_hello(payload), reader)
                     return
                 else:
                     raise protocol.ProtocolError(

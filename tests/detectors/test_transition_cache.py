@@ -6,7 +6,7 @@ Four angles:
 * **byte-identity, live path** — T1–T3 under all three paper
   configurations produce byte-identical reports with the cache forced
   on and forced off (the on-path includes the one-entry same-access
-  filter in the specialised access handlers);
+  filter in the access kernel);
 * **byte-identity, batched replay** — replaying the recorded traces
   with the cache on routes whole ``MemoryAccess`` blocks through
   :meth:`HelgrindDetector.bulk_access`; the report must equal both the
@@ -14,9 +14,9 @@ Four angles:
   with the memo capacity crushed to force evictions mid-replay;
 * **counters** — memo hits/misses/evictions and elided accesses tally
   where expected and stay zero when disabled;
-* **gates** — the process-wide default, the per-config override, the
-  ``bulk_access_ready`` static gate, and the pickling rule (memo values
-  embed process-local lockset ids, so checkpoints ship it empty).
+* **gates** — the per-config switch, the ``bulk_access_ready`` static
+  gate, and the pickling rule (memo values embed process-local lockset
+  ids, so checkpoints ship it empty).
 """
 
 from __future__ import annotations
@@ -30,11 +30,7 @@ import pytest
 from repro.api.profiles import profile
 from repro.detectors import DjitDetector, HelgrindDetector
 from repro.detectors.helgrind import HelgrindConfig
-from repro.detectors.lockset import (
-    LocksetMachine,
-    set_transition_cache_default,
-    transition_cache_default,
-)
+from repro.detectors.lockset import LocksetMachine
 from repro.detectors.segments import SegmentGraph
 from repro.runtime.trace import replay_trace
 
@@ -199,34 +195,22 @@ class TestCounters:
 
 
 class TestGates:
-    def test_process_default_toggle(self):
-        assert transition_cache_default() is True  # ships enabled
-        try:
-            set_transition_cache_default(False)
-            assert transition_cache_default() is False
-            machine = LocksetMachine(SegmentGraph())
-            assert machine._memo is None
-            det = HelgrindDetector(profile("hwlc+dr").config())
-            assert det.machine._memo is None
-            assert not det._elide_ok
-            assert not det.bulk_access_ready()
-        finally:
-            set_transition_cache_default(True)
-
-    def test_config_override_beats_default(self):
-        try:
-            set_transition_cache_default(False)
-            det = HelgrindDetector(_config("hwlc+dr", cache=True))
-            assert det.machine._memo is not None
-        finally:
-            set_transition_cache_default(True)
-        det = HelgrindDetector(_config("hwlc+dr", cache=False))
-        assert det.machine._memo is None
+    def test_config_switches_cache(self):
+        assert LocksetMachine(SegmentGraph())._memo is not None  # ships on
+        det = HelgrindDetector(profile("hwlc+dr").config())
+        assert det.machine._memo is not None
+        assert det._elide_ok
+        assert det.bulk_access_ready()
+        off = HelgrindDetector(_config("hwlc+dr", cache=False))
+        assert off.machine._memo is None
+        assert not off._elide_ok
+        assert not off.bulk_access_ready()
 
     def test_bulk_ready_requires_exact_shape(self):
-        # Access history keeps per-access side effects the bulk loop
-        # does not model; the no-states ablation skips access_check's
-        # fast path entirely; subclasses may override handlers.
+        # Access history updates each word after its race is reported,
+        # which deferred block reporting would reorder; subclasses may
+        # override handlers.  The no-states ablation batches: the row
+        # kernel steps every row through access_check.
         hist = HelgrindDetector(
             dataclasses.replace(
                 profile("hwlc+dr").config(),
@@ -239,7 +223,7 @@ class TestGates:
                 profile("raw-eraser").config(), transition_cache=True
             )
         )
-        assert not raw.bulk_access_ready()
+        assert raw.bulk_access_ready()
 
         class Sub(HelgrindDetector):
             pass

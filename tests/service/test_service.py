@@ -178,6 +178,60 @@ class TestErrors:
             ) == reference
 
 
+#: HELLO bodies whose ids / profile name have the wrong JSON type.
+_BAD_HELLOS = (
+    {"session": 5},
+    {"session": ["x"]},
+    {"config": ["x"]},
+    {"config": "hwlc+dr", "assign": 5},
+    {"config": "hwlc+dr", "trace": 7},
+)
+
+
+@pytest.fixture(scope="module", params=["single", "sharded"])
+def any_server(request, tmp_path_factory):
+    """Both server kinds, each with a checkpoint directory (a resume
+    HELLO then reaches the checkpoint store and the hash ring)."""
+    from repro.service import ShardedAnalysisServer
+
+    root = tmp_path_factory.mktemp(f"hello-{request.param}")
+    kind = AnalysisServer if request.param == "single" else ShardedAnalysisServer
+    server = kind(
+        socket_path=str(root / "s.sock"), workers=1,
+        checkpoint_dir=str(root / "ckpt"),
+    )
+    server.start()
+    yield server
+    server.shutdown(drain=True, timeout=10.0)
+
+
+class TestMalformedHello:
+    @pytest.mark.parametrize(
+        "body", _BAD_HELLOS, ids=[json.dumps(b) for b in _BAD_HELLOS]
+    )
+    def test_error_frame_then_server_keeps_serving(
+        self, any_server, traces, body, monkeypatch
+    ):
+        """A wrong-typed HELLO field gets an ERROR frame, kills no
+        thread, and the next session on the same server is normal."""
+        import socket
+
+        from repro.service import protocol
+
+        crashed = []
+        monkeypatch.setattr(threading, "excepthook", crashed.append)
+        with socket.socket(socket.AF_UNIX) as sock:
+            sock.settimeout(10.0)
+            sock.connect(any_server.address)
+            protocol.send_json(sock, protocol.HELLO, body)
+            ftype, payload = protocol.FrameReader(sock).read()
+        assert protocol.frame_name(ftype) == "ERROR"
+        assert "must be a string" in protocol.decode_json(payload)["error"]
+        path, reference = traces[("T1", "hwlc+dr")]
+        assert fetch_report(path, socket_path=any_server.address) == reference
+        assert crashed == []
+
+
 class TestKillAndResume:
     def test_killed_server_resumes_byte_identical(self, tmp_path, traces):
         path, reference = traces[("T2", "hwlc+dr")]
